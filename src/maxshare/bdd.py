@@ -265,22 +265,6 @@ class BddManager:
             stack.append(n.high)
         return len(seen)
 
-    def support(self, a: int) -> set[int]:
-        """Variable indices appearing on some path from `a`."""
-        vs: set[int] = set()
-        seen: set[int] = set()
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if x in seen or self.is_leaf(x):
-                continue
-            seen.add(x)
-            n = self.node(x)
-            vs.add(n.var)
-            stack.append(n.low)
-            stack.append(n.high)
-        return vs
-
     def memo_stats(self) -> dict[str, dict[str, int]]:
         tables = {"and": self.m_and, "or": self.m_or, "xor": self.m_xor,
                   "not": self.m_not, "ite": self.m_ite}

@@ -11,8 +11,8 @@ Text grammar, operators by increasing binding strength:
     &    and
     !    not        (prefix)
 
-Variables are `x<digits>` with 1-based indices; constants are `0` and
-`1`; `#` starts a line comment.
+Variables are `x<digits>` with 1-based indices below `bdd.LEAF_VAR`
+(2**32); constants are `0` and `1`; `#` starts a line comment.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
-from .bdd import FALSE, TRUE, BddManager, UnboundVariableError
+from .bdd import FALSE, LEAF_VAR, TRUE, BddManager, UnboundVariableError
 
 ORACLE_VAR_LIMIT = 24
 
@@ -214,6 +214,9 @@ class _Parser:
             index = int(val[1:])
             if index == 0:
                 raise RangeError("variable indices are 1-based; x0 is invalid")
+            if index >= LEAF_VAR:
+                raise RangeError(f"{line}:{col}: variable index {index} "
+                                 f"out of range (must be below {LEAF_VAR})")
             return Var(index)
         if kind == "op" and val == "(":
             f = self.formula()
@@ -325,7 +328,7 @@ def compile(mgr: BddManager, f: Formula) -> int:
     if isinstance(f, Const):
         return TRUE if f.value else FALSE
     if isinstance(f, Var):
-        if f.index < 1:
+        if not (1 <= f.index < LEAF_VAR):
             raise RangeError(f"variable index {f.index} out of range")
         return mgr.mk_node(FALSE, f.index, TRUE)
     if isinstance(f, Not):

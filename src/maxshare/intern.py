@@ -76,15 +76,10 @@ class Pool:
             uid = len(self._back)
             self._back.append(p)
             self._fwd[p] = uid
-        self._preallocated = len(self._back)
 
     @property
     def next(self) -> int:
         return len(self._back)
-
-    @property
-    def preallocated_count(self) -> int:
-        return self._preallocated
 
     def intern(self, p: Payload) -> int:
         """Return the identifier of `p`, allocating a fresh one iff no
@@ -111,9 +106,6 @@ class Pool:
                 f"id {uid} out of range (pool has {len(self._back)} nodes)"
             )
         return self._back[uid]
-
-    def contains_id(self, uid: int) -> bool:
-        return 0 <= uid < len(self._back)
 
     def stats(self) -> PoolStats:
         return PoolStats(

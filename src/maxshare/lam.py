@@ -7,6 +7,16 @@ identifier-based keys; reduction is normal order (leftmost-outermost),
 which is what lets the fixed-point combinator in the quicksort
 benchmark normalize.
 
+Every node also carries its free-variable bound `bound(t)`: the smallest
+`n` such that every free de Bruijn index of `t` is below `n` (0 for a
+closed term).  It is computed once, in O(1) from the children, when the
+node is first interned: `var i` has `i + 1`, `app f a` has
+`max(bound f, bound a)` and `abs b` has `max(bound b - 1, 0)`.  With it
+`subst(w, n, t)` and `lifti(n, t, k)` return `t` itself when `bound(t)`
+is at or below the cut (`n`, resp. `k`), without a memo lookup, a
+recursive call or a pool intern; the memoized bodies only ever see
+subterms with a free index at or above the cut.
+
 Normalization of non-trivial terms recurses deeply; run top-level calls
 through `run_deep` (a worker thread with a large stack and a raised
 recursion limit) when the input is not known to be small.
@@ -39,29 +49,50 @@ class ShapeError(LambdaError):
     """Decoder applied to a term that is not the expected encoding."""
 
 
+# `run_deep` changes two process-wide settings: the thread stack size,
+# which Thread.start reads, and the recursion limit, which every thread
+# reads.  One lock orders the changes of concurrent callers; the limit
+# stays raised until the last active caller's worker has finished.
+_deep_lock = threading.Lock()
+_deep_callers = 0
+_saved_recursion_limit = 0
+
+
 def run_deep(fn: Callable, *args, stack_bytes: int = DEEP_STACK_BYTES,
              recursion_limit: int = DEEP_RECURSION_LIMIT):
-    """Run `fn(*args)` on a worker thread with a big stack and a raised
-    recursion limit, returning its result or re-raising its exception."""
+    """Run `fn(*args)` on a worker thread with a big stack and a
+    recursion limit of at least `recursion_limit`, returning its result
+    or re-raising its exception.  Safe to call from several threads at
+    once."""
+    global _deep_callers, _saved_recursion_limit
     box: dict = {}
 
     def worker():
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(recursion_limit)
         try:
             box["value"] = fn(*args)
         except BaseException as exc:  # re-raised on the caller's thread
             box["error"] = exc
-        finally:
-            sys.setrecursionlimit(old)
 
-    threading.stack_size(stack_bytes)
+    t = threading.Thread(target=worker)
+    with _deep_lock:
+        if _deep_callers == 0:
+            _saved_recursion_limit = sys.getrecursionlimit()
+        _deep_callers += 1
+        if sys.getrecursionlimit() < recursion_limit:
+            sys.setrecursionlimit(recursion_limit)
     try:
-        t = threading.Thread(target=worker)
-        t.start()
+        with _deep_lock:
+            old_size = threading.stack_size(stack_bytes)
+            try:
+                t.start()
+            finally:
+                threading.stack_size(old_size)
         t.join()
     finally:
-        threading.stack_size(0)
+        with _deep_lock:
+            _deep_callers -= 1
+            if _deep_callers == 0:
+                sys.setrecursionlimit(_saved_recursion_limit)
     if "error" in box:
         raise box["error"]
     return box["value"]
@@ -74,11 +105,16 @@ class LambdaManager:
     second manager to compare memoized against unmemoized runs.  The
     step guard bounds beta reductions per top-level hnf/nf call and
     trips DepthExceededError on non-normalizing input.
+
+    The pool is grown only through `mk_var`/`mk_app`/`mk_abs`, which
+    keep `_bound` (the free-variable bound, indexed by id) in step with
+    it.
     """
 
     def __init__(self, *, memo_enabled: bool = True,
                  step_guard: int = DEFAULT_STEP_GUARD) -> None:
         self.pool = Pool()
+        self._bound: list[int] = []
         self.memo_enabled = memo_enabled
         self.step_guard = step_guard
         self.m_lifti = MemoTable(3)
@@ -90,55 +126,89 @@ class LambdaManager:
         self._build_fixers()
 
     # -- constructors ----------------------------------------------------
+    #
+    # The pool issues ids 0, 1, 2, ... in order, so `uid == len(_bound)`
+    # holds exactly when intern allocated a fresh node; intern has
+    # validated the children by then.
 
     def mk_var(self, i: int) -> int:
         if i < 0:
             raise LambdaError(f"negative de Bruijn index {i}")
-        return self.pool.intern(Payload(tag=VAR_TAG, attrs=(i,)))
+        uid = self.pool.intern(Payload(tag=VAR_TAG, attrs=(i,)))
+        if uid == len(self._bound):
+            self._bound.append(i + 1)
+        return uid
 
     def mk_app(self, f: int, a: int) -> int:
-        return self.pool.intern(Payload(tag=APP_TAG, children=(f, a)))
+        uid = self.pool.intern(Payload(tag=APP_TAG, children=(f, a)))
+        bound = self._bound
+        if uid == len(bound):
+            bf, ba = bound[f], bound[a]
+            bound.append(bf if bf > ba else ba)
+        return uid
 
     def mk_abs(self, b: int) -> int:
-        return self.pool.intern(Payload(tag=ABS_TAG, children=(b,)))
+        uid = self.pool.intern(Payload(tag=ABS_TAG, children=(b,)))
+        bound = self._bound
+        if uid == len(bound):
+            bb = bound[b]
+            bound.append(bb - 1 if bb > 0 else 0)
+        return uid
+
+    def bound(self, t: int) -> int:
+        """Smallest n such that every free de Bruijn index of t is < n."""
+        self.pool.resolve(t)
+        return self._bound[t]
 
     # -- operations ------------------------------------------------------
+    #
+    # The memoized lifti/subst bodies are entered only for a term whose
+    # bound is above the cut; every call on a child re-tests the bound
+    # first.  Under an abstraction the test is implied (bound(abs b) > c
+    # means bound(b) > c + 1), so only application children are tested.
 
     def _build_fixers(self) -> None:
         guard = 1 << 62  # the step guard is the real safety net
         mt = (lambda t: t) if self.memo_enabled else (lambda t: None)
+        bound = self._bound
 
         def lifti_body(recurse, key):
             n, t, k = key
             p = self.pool.resolve(t)
             if p.tag == VAR_TAG:
-                i = p.attrs[0]
-                return t if i < k else self.mk_var(i + n)
+                return self.mk_var(p.attrs[0] + n)
             if p.tag == ABS_TAG:
                 return self.mk_abs(recurse((n, p.children[0], k + 1)))
-            return self.mk_app(recurse((n, p.children[0], k)),
-                               recurse((n, p.children[1], k)))
+            f, a = p.children
+            return self.mk_app(f if bound[f] <= k else recurse((n, f, k)),
+                               a if bound[a] <= k else recurse((n, a, k)))
 
-        self._lifti = memo_fix(lifti_body, mt(self.m_lifti),
-                               depth_guard=guard)
+        lifti_fix = memo_fix(lifti_body, mt(self.m_lifti), depth_guard=guard)
+
+        def lifti(n: int, t: int, k: int) -> int:
+            return t if bound[t] <= k else lifti_fix((n, t, k))
 
         def subst_body(recurse, key):
             w, n, t = key
             p = self.pool.resolve(t)
             if p.tag == VAR_TAG:
                 i = p.attrs[0]
-                if i < n:
-                    return t
                 if i == n:
-                    return self._lifti((n, w, 0))
+                    return lifti(n, w, 0)
                 return self.mk_var(i - 1)
             if p.tag == ABS_TAG:
                 return self.mk_abs(recurse((w, n + 1, p.children[0])))
-            return self.mk_app(recurse((w, n, p.children[0])),
-                               recurse((w, n, p.children[1])))
+            f, a = p.children
+            return self.mk_app(f if bound[f] <= n else recurse((w, n, f)),
+                               a if bound[a] <= n else recurse((w, n, a)))
 
-        self._subst = memo_fix(subst_body, mt(self.m_subst),
-                               depth_guard=guard)
+        subst_fix = memo_fix(subst_body, mt(self.m_subst), depth_guard=guard)
+
+        def subst(w: int, n: int, t: int) -> int:
+            return t if bound[t] <= n else subst_fix((w, n, t))
+
+        self._lifti = lifti
+        self._subst = subst
 
         def beta(u: int, w: int) -> int:
             self._steps += 1
@@ -146,7 +216,7 @@ class LambdaManager:
                 raise DepthExceededError(
                     f"exceeded {self.step_guard} reduction steps"
                 )
-            return self._subst((u, 0, w))
+            return subst(u, 0, w)
 
         def hnf_body(recurse, key):
             (t,) = key
@@ -181,16 +251,20 @@ class LambdaManager:
         self._nf = memo_fix(nf_body, mt(self.m_nf), depth_guard=guard)
 
     def lifti(self, n: int, t: int, k: int) -> int:
-        """Shift free variables >= k up by n."""
-        return self._lifti((n, t, k))
+        """Shift free variables >= k up by n; t itself when
+        bound(t) <= k."""
+        self.pool.resolve(t)
+        return self._lifti(n, t, k)
 
     def lift(self, n: int, t: int) -> int:
-        return self._lifti((n, t, 0))
+        return self.lifti(n, t, 0)
 
     def subst(self, w: int, n: int, t: int) -> int:
         """Substitute w for variable n in t, decrementing the variables
-        above the cut."""
-        return self._subst((w, n, t))
+        above the cut; t itself when bound(t) <= n."""
+        self.pool.resolve(w)
+        self.pool.resolve(t)
+        return self._subst(w, n, t)
 
     def _guarded(self, fix, t: int) -> int:
         self.pool.resolve(t)

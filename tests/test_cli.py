@@ -114,3 +114,16 @@ def test_lambda_sort_no_memo_value_guard(capsys):
 def test_lambda_sort_malformed_list(capsys):
     code, _, err = run_cli(capsys, "lambda-sort", "--list", "1,two,3")
     assert code == 2
+
+
+@pytest.mark.parametrize("index, code", [(4294967296, 2), (4294967295, 0)])
+def test_taut_variable_index_limit(tmp_path, capsys, index, code):
+    # indices at or above bdd.LEAF_VAR (2**32) are a range error, exit 2
+    path = tmp_path / "huge.bf"
+    path.write_text(f"x{index} | !x{index}\n")
+    got, out, err = run_cli(capsys, "taut", "--file", str(path))
+    assert got == code
+    if code == 2:
+        assert "out of range" in err
+    else:
+        assert json.loads(out)["result"] is True

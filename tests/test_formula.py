@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import equivalent_variant, formulas, random_formula
-from maxshare.bdd import FALSE, TRUE, BddManager, UnboundVariableError
+from maxshare.bdd import (
+    FALSE, LEAF_VAR, TRUE, BddManager, UnboundVariableError,
+)
 from maxshare.formula import (
     And,
     Const,
@@ -50,6 +52,14 @@ def test_parse_iff_right_assoc():
 def test_parse_x0_is_range_error():
     with pytest.raises(RangeError):
         parse("x0")
+
+
+def test_variable_index_at_leaf_var_is_range_error():
+    with pytest.raises(RangeError):
+        parse(f"x{LEAF_VAR}")
+    with pytest.raises(RangeError):
+        compile(BddManager(), Var(LEAF_VAR))
+    assert parse(f"x{LEAF_VAR - 1}") == Var(LEAF_VAR - 1)
 
 
 def test_parse_precedence():

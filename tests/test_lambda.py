@@ -1,7 +1,12 @@
 import random
+import sys
+import threading
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from maxshare.intern import UnknownIdError
 from maxshare.lam import (
     LambdaManager,
     PlainNormalizer,
@@ -114,6 +119,77 @@ def test_subst_hit_case(mgr):
 def test_subst_decrement_case(mgr):
     w = mgr.mk_abs(mgr.mk_var(0))
     assert mgr.subst(w, 0, mgr.mk_var(1)) == mgr.mk_var(0)
+
+
+# -- free-variable bound ---------------------------------------------------
+
+def plain_terms(max_index=4):
+    """Plain de Bruijn terms, open ones included: indices run past the
+    binders above them."""
+    return st.recursive(
+        st.builds(lambda i: ("var", i), st.integers(0, max_index)),
+        lambda child: st.one_of(
+            st.builds(lambda b: ("abs", b), child),
+            st.builds(lambda f, a: ("app", f, a), child, child),
+        ),
+        max_leaves=12,
+    )
+
+
+def free_indices(t, depth=0):
+    """Free indices of a plain term, counted from outside the term."""
+    if t[0] == "var":
+        return {t[1] - depth} if t[1] >= depth else set()
+    if t[0] == "abs":
+        return free_indices(t[1], depth + 1)
+    return free_indices(t[1], depth) | free_indices(t[2], depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plain_terms())
+def test_bound_matches_free_indices(plain):
+    m = LambdaManager()
+    t = from_plain(m, plain)
+    free = free_indices(to_plain(m, t))
+    assert m.bound(t) == (max(free) + 1 if free else 0)
+
+
+@pytest.mark.parametrize("memo", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(plain_terms(), plain_terms(), st.integers(0, 4), st.integers(0, 4))
+def test_subst_lifti_match_plain_normalizer(memo, pw, pt, n, k):
+    m = LambdaManager(memo_enabled=memo)
+    w, t = from_plain(m, pw), from_plain(m, pt)
+    ref = PlainNormalizer()
+    assert m.subst(w, n, t) == from_plain(m, ref.subst(pw, n, pt))
+    assert m.lifti(n, t, k) == from_plain(m, ref.lifti(n, pt, k))
+
+
+def test_subst_lifti_skip_terms_at_or_below_the_cut(mgr):
+    # bound(t) == 2: t is returned itself and no memo entry is written
+    t = mgr.mk_app(mgr.mk_var(1), mgr.mk_abs(mgr.mk_var(1)))
+    w = mgr.mk_var(7)
+    assert mgr.bound(t) == 2
+    assert mgr.subst(w, 2, t) == t
+    assert mgr.lifti(5, t, 2) == t
+    assert len(mgr.m_subst) == 0 and len(mgr.m_lifti) == 0
+    assert mgr.subst(w, 1, t) != t
+    assert mgr.lifti(5, t, 1) != t
+
+
+@pytest.mark.parametrize("bad", [-1, 10**6])
+def test_public_lift_subst_reject_unknown_ids(mgr, bad):
+    t = mgr.mk_abs(mgr.mk_var(0))
+    with pytest.raises(UnknownIdError):
+        mgr.lifti(1, bad, 0)
+    with pytest.raises(UnknownIdError):
+        mgr.lift(1, bad)
+    with pytest.raises(UnknownIdError):
+        mgr.subst(t, 0, bad)
+    with pytest.raises(UnknownIdError):
+        mgr.subst(bad, 0, t)
+    with pytest.raises(UnknownIdError):
+        mgr.bound(bad)
 
 
 def test_beta_identity(mgr):
@@ -248,3 +324,65 @@ def test_memo_effectiveness_on_four_element_sort():
     memo_out = run_deep(m.nf, term)
     assert m.pool.stats().intern_misses < ref.allocations
     assert from_plain(m, plain_out) == memo_out
+
+
+def test_quicksort_reverse_ten_counters():
+    # Pinned counters: the bound shortcut leaves the reduction itself
+    # (steps, pool nodes, hnf entries) unchanged and keeps the subst
+    # table small (130,732 entries without the shortcut).
+    _, m = sort_via_lambda(list(range(9, -1, -1)))
+    assert m.reduction_steps == 2193
+    assert m.pool.stats().intern_misses == 6477
+    assert len(m.m_hnf) == 4590
+    assert len(m.m_subst) < 10_000
+
+
+# -- run_deep --------------------------------------------------------------
+
+def _down(n):
+    return 0 if n == 0 else 1 + _down(n - 1)
+
+
+def test_run_deep_two_concurrent_callers():
+    # The first caller returns while the second caller's worker is still
+    # running and has yet to recurse: the recursion limit must stay
+    # raised for it, and both process-wide settings must be back to
+    # their old values once both are done.
+    depth = 3 * sys.getrecursionlimit()
+    old_limit = sys.getrecursionlimit()
+    first_deep, second_started, first_done = (threading.Event()
+                                              for _ in range(3))
+    results, errors = {}, []
+
+    def first():
+        out = _down(depth)
+        first_deep.set()
+        assert second_started.wait(30)
+        return out
+
+    def second():
+        second_started.set()
+        assert first_done.wait(30)
+        return _down(depth)
+
+    def call(name, fn, done=None):
+        try:
+            results[name] = run_deep(fn, stack_bytes=1 << 24)
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            if done is not None:
+                done.set()
+
+    t1 = threading.Thread(target=call, args=("first", first, first_done))
+    t2 = threading.Thread(target=call, args=("second", second))
+    t1.start()
+    assert first_deep.wait(30)
+    t2.start()
+    t1.join(30)
+    t2.join(30)
+    assert not t1.is_alive() and not t2.is_alive()
+    assert errors == []
+    assert results == {"first": depth, "second": depth}
+    assert threading.stack_size() == 0
+    assert sys.getrecursionlimit() == old_limit
