@@ -13,9 +13,7 @@ from .intern import (
 from .memo import (
     DepthExceededError,
     MemoContractError,
-    MemoStats,
     MemoTable,
-    MemoUsageError,
     found,
     memo_fix,
 )
@@ -38,9 +36,7 @@ __all__ = [
     "InvalidChildError",
     "LambdaManager",
     "MemoContractError",
-    "MemoStats",
     "MemoTable",
-    "MemoUsageError",
     "Payload",
     "Pool",
     "PoolStats",

@@ -1,23 +1,29 @@
 """Reduced ordered binary decision diagrams over a hash-consing pool.
 
 Diagrams are canonical by construction: nodes are interned, the
-reduction rule (low == high collapses) is applied in the single node
-constructor, and the variable order is the numeric order on variable
+reduction rule (low == high collapses) is applied before every intern,
+and the variable order is the numeric order on variable
 indices with the smallest index at the root.  Equality of functions is
 therefore identifier equality, and tautology checking is a comparison
 against the TRUE leaf.
 
 Leaves get the fixed identifiers 0 (FALSE) and 1 (TRUE) via pool
-preallocation.  Binary operations are one generic melding combinator
-instantiated with per-operation leaf-rewrite rules and memo tables.
+preallocation.  The pool is the unique table; each operation has its
+own memo table (the computed table).  Binary operations are one generic
+melding body instantiated with per-operation leaf-rewrite rules; the
+memoized recursions are built once per manager.  Ids and ops are
+checked once, at the public entry points (`apply2`, `mk_not`, `mk_ite`,
+`mk_node`, `node`, `head_var`); internal steps read the payloads of ids
+the pool issued directly.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Mapping, NamedTuple
 
 from .intern import Payload, Pool
-from .memo import MemoTable, memo_fix
+from .memo import MemoTable, memo_fix, table_stats
 
 LEAF_TAG = 0
 NODE_TAG = 1
@@ -27,8 +33,6 @@ TRUE = 1
 
 # Head variable of a leaf: larger than any real variable index.
 LEAF_VAR = 1 << 32
-
-OPS = ("and", "or", "xor")
 
 
 class BddError(Exception):
@@ -60,22 +64,16 @@ class BddManager:
     recomputes everything (test mode for memo transparency checks).
     """
 
-    def __init__(self, *, memo_enabled: bool = True,
-                 depth_guard: int = 100_000) -> None:
+    def __init__(self, *, memo_enabled: bool = True) -> None:
         self.pool = Pool(preallocated=[_leaf_payload(False),
                                        _leaf_payload(True)])
         self.memo_enabled = memo_enabled
-        self.depth_guard = depth_guard
-        self.m_and = MemoTable(2, commutative=True)
-        self.m_or = MemoTable(2, commutative=True)
-        self.m_xor = MemoTable(2, commutative=True)
-        self.m_not = MemoTable(1)
-        self.m_ite = MemoTable(3)
-        self._binary_tables = {"and": self.m_and, "or": self.m_or,
-                               "xor": self.m_xor}
-
-    def _table(self, table: MemoTable) -> MemoTable | None:
-        return table if self.memo_enabled else None
+        self.m_and = MemoTable(commutative=True)
+        self.m_or = MemoTable(commutative=True)
+        self.m_xor = MemoTable(commutative=True)
+        self.m_not = MemoTable()
+        self.m_ite = MemoTable()
+        self._build_fixers()
 
     def is_leaf(self, a: int) -> bool:
         return a == FALSE or a == TRUE
@@ -107,115 +105,104 @@ class BddManager:
             Payload(tag=NODE_TAG, attrs=(v,), children=(low, high))
         )
 
-    # -- melding ---------------------------------------------------------
+    # -- operations ------------------------------------------------------
+    #
+    # Below the public entry points every id was issued by this pool:
+    # nodes are read straight from `pool.back` and built without
+    # mk_node's order check (expansion on the smallest head variable
+    # orders them by construction).  Each `*_step` applies its
+    # operation's leaf rules before the memo table is consulted.
 
-    def _leaf_rule(self, op: str, a: int, b: int) -> int | None:
-        """Rewrite rules on leaf operands; None when both are nodes.
-        Effectful for xor, which complements the other operand."""
-        if op == "and":
-            if a == FALSE or b == FALSE:
+    def _build_fixers(self) -> None:
+        mt = (lambda t: t) if self.memo_enabled else (lambda t: None)
+        nodes = self.pool.back
+        intern = self.pool.intern
+
+        def mk(low: int, v: int, high: int) -> int:
+            if low == high:
+                return low
+            return intern(Payload(NODE_TAG, (v,), (low, high)))
+
+        def meld(step):
+            """Body of a binary operation: simultaneous descent on the
+            smaller head variable, each cofactor pair through `step`."""
+            def body(_, key):
+                x, y = key
+                px, py = nodes[x], nodes[y]
+                vx, vy = px.attrs[0], py.attrs[0]
+                if vx == vy:
+                    (xl, xh), (yl, yh) = px.children, py.children
+                    return mk(step(xl, yl), vx, step(xh, yh))
+                if vx < vy:
+                    xl, xh = px.children
+                    return mk(step(xl, y), vx, step(xh, y))
+                yl, yh = py.children
+                return mk(step(x, yl), vy, step(x, yh))
+            return body
+
+        def and_step(x: int, y: int) -> int:
+            if x == FALSE or y == FALSE:
                 return FALSE
-            if a == TRUE:
-                return b
-            if b == TRUE:
-                return a
-        elif op == "or":
-            if a == TRUE or b == TRUE:
+            if x == TRUE:
+                return y
+            if y == TRUE:
+                return x
+            return and_fix((x, y))
+
+        def or_step(x: int, y: int) -> int:
+            if x == TRUE or y == TRUE:
                 return TRUE
-            if a == FALSE:
-                return b
-            if b == FALSE:
-                return a
-        elif op == "xor":
-            if a == FALSE:
-                return b
-            if b == FALSE:
-                return a
-            if a == TRUE:
-                return self.mk_not(b)
-            if b == TRUE:
-                return self.mk_not(a)
-        else:
-            raise BddError(f"unknown operation {op!r}")
-        return None
+            if x == FALSE:
+                return y
+            if y == FALSE:
+                return x
+            return or_fix((x, y))
 
-    def apply2(self, op: str, a: int, b: int) -> int:
-        """Canonical BDD of the pointwise boolean combination.
+        def xor_step(x: int, y: int) -> int:
+            if x == FALSE:
+                return y
+            if y == FALSE:
+                return x
+            if x == TRUE:
+                return not_fix((y,))
+            if y == TRUE:
+                return not_fix((x,))
+            return xor_fix((x, y))
 
-        Simultaneous descent on the smaller head variable; leaf rewrite
-        rules cut the recursion short before touching the memo table, so
-        the table only ever holds node/node pairs.
-        """
-        if op not in OPS:
-            raise BddError(f"unknown operation {op!r}")
-        self.pool.resolve(a)
-        self.pool.resolve(b)
+        and_fix = memo_fix(meld(and_step), mt(self.m_and))
+        or_fix = memo_fix(meld(or_step), mt(self.m_or))
+        xor_fix = memo_fix(meld(xor_step), mt(self.m_xor))
 
-        def body(recurse, key):
-            x, y = key
-            nx = self.node(x)
-            ny = self.node(y)
-            if nx.var == ny.var:
-                v = nx.var
-                lo = descend(recurse, nx.low, ny.low)
-                hi = descend(recurse, nx.high, ny.high)
-            elif nx.var < ny.var:
-                v = nx.var
-                lo = descend(recurse, nx.low, y)
-                hi = descend(recurse, nx.high, y)
-            else:
-                v = ny.var
-                lo = descend(recurse, x, ny.low)
-                hi = descend(recurse, x, ny.high)
-            return self.mk_node(lo, v, hi)
-
-        def descend(recurse, x, y):
-            quick = self._leaf_rule(op, x, y)
-            return quick if quick is not None else recurse((x, y))
-
-        fix = memo_fix(body, self._table(self._binary_tables[op]),
-                       depth_guard=self.depth_guard)
-        quick = self._leaf_rule(op, a, b)
-        return quick if quick is not None else fix((a, b))
-
-    def mk_not(self, a: int) -> int:
-        """Canonical complement, memoized on the identifier."""
-        def body(recurse, key):
+        def not_body(recurse, key):
             (x,) = key
             if x == FALSE:
                 return TRUE
             if x == TRUE:
                 return FALSE
-            n = self.node(x)
-            return self.mk_node(recurse((n.low,)), n.var,
-                                recurse((n.high,)))
+            p = nodes[x]
+            low, high = p.children
+            return mk(recurse((low,)), p.attrs[0], recurse((high,)))
 
-        fix = memo_fix(body, self._table(self.m_not),
-                       depth_guard=self.depth_guard)
-        return fix((a,))
+        not_fix = memo_fix(not_body, mt(self.m_not))
 
-    def mk_ite(self, c: int, t: int, e: int) -> int:
-        """If-then-else (c and t) or (not c and e), by ternary Shannon
-        expansion on the minimum head variable."""
-        for r in (c, t, e):
-            self.pool.resolve(r)
+        def head(x: int) -> int:
+            return LEAF_VAR if x <= TRUE else nodes[x].attrs[0]
 
-        def cofactor(x: int, v: int, high: bool) -> int:
-            if self.head_var(x) != v:
-                return x
-            n = self.node(x)
-            return n.high if high else n.low
+        def cofactors(x: int, v: int) -> tuple[int, int]:
+            if x <= TRUE:
+                return x, x
+            p = nodes[x]
+            return p.children if p.attrs[0] == v else (x, x)
 
-        def body(recurse, key):
+        def ite_body(_, key):
             x, y, z = key
-            v = min(self.head_var(x), self.head_var(y), self.head_var(z))
-            lo = descend(recurse, cofactor(x, v, False),
-                         cofactor(y, v, False), cofactor(z, v, False))
-            hi = descend(recurse, cofactor(x, v, True),
-                         cofactor(y, v, True), cofactor(z, v, True))
-            return self.mk_node(lo, v, hi)
+            v = min(head(x), head(y), head(z))
+            xl, xh = cofactors(x, v)
+            yl, yh = cofactors(y, v)
+            zl, zh = cofactors(z, v)
+            return mk(ite_step(xl, yl, zl), v, ite_step(xh, yh, zh))
 
-        def descend(recurse, x, y, z):
+        def ite_step(x: int, y: int, z: int) -> int:
             if x == TRUE:
                 return y
             if x == FALSE:
@@ -224,11 +211,40 @@ class BddManager:
                 return y
             if y == TRUE and z == FALSE:
                 return x
-            return recurse((x, y, z))
+            return ite_fix((x, y, z))
 
-        fix = memo_fix(body, self._table(self.m_ite),
-                       depth_guard=self.depth_guard)
-        return descend(fix, c, t, e)
+        ite_fix = memo_fix(ite_body, mt(self.m_ite))
+
+        self._binary_steps = {"and": and_step, "or": or_step,
+                              "xor": xor_step}
+        self._not = not_fix
+        self._ite_step = ite_step
+
+    def apply2(self, op: str, a: int, b: int) -> int:
+        """Canonical BDD of the pointwise boolean combination.
+
+        Simultaneous descent on the smaller head variable; leaf rewrite
+        rules cut the recursion short before touching the memo table, so
+        the table only ever holds node/node pairs.
+        """
+        step = self._binary_steps.get(op)
+        if step is None:
+            raise BddError(f"unknown operation {op!r}")
+        self.pool.resolve(a)
+        self.pool.resolve(b)
+        return step(a, b)
+
+    def mk_not(self, a: int) -> int:
+        """Canonical complement, memoized on the identifier."""
+        self.pool.resolve(a)
+        return self._not((a,))
+
+    def mk_ite(self, c: int, t: int, e: int) -> int:
+        """If-then-else (c and t) or (not c and e), by ternary Shannon
+        expansion on the minimum head variable."""
+        for r in (c, t, e):
+            self.pool.resolve(r)
+        return self._ite_step(c, t, e)
 
     # -- observers -------------------------------------------------------
 
@@ -265,11 +281,10 @@ class BddManager:
             stack.append(n.high)
         return len(seen)
 
-    def memo_stats(self) -> dict[str, dict[str, int]]:
-        tables = {"and": self.m_and, "or": self.m_or, "xor": self.m_xor,
-                  "not": self.m_not, "ite": self.m_ite}
-        return {
-            name: {"hits": t.hits, "misses": t.misses,
-                   "body_evaluations": t.body_evaluations}
-            for name, t in tables.items()
-        }
+    def stats(self) -> dict[str, dict]:
+        """Pool counters and each memo table's hits, misses and body
+        evaluations, as the `pool_stats` and `memo_stats` of a report."""
+        return {"pool_stats": asdict(self.pool.stats()),
+                "memo_stats": table_stats({
+                    "and": self.m_and, "or": self.m_or, "xor": self.m_xor,
+                    "not": self.m_not, "ite": self.m_ite})}

@@ -4,8 +4,11 @@ Subcommands:
 
     taut         check a formula (file or generated benchmark) for
                  tautology; exit 0 iff tautology, 1 iff not, 2 on error
+                 (a formula nested too deeply for the recursive parser
+                 or engine included)
     bench        run a benchmark suite over sizes 1..N, one JSON record
-                 per size; exit 3 if any size is not a tautology
+                 per size; exit 3 if any size is not a tautology, 2 on
+                 error
     lambda-sort  sort a comma-separated list of naturals through the
                  lambda-calculus quicksort; exit 3 on decode failure
 
@@ -48,20 +51,6 @@ class RunReport:
         return json.dumps(d, sort_keys=True)
 
 
-def _pool_stats_dict(mgr: BddManager | lam.LambdaManager) -> dict[str, int]:
-    s = mgr.pool.stats()
-    return {"node_count": s.node_count, "intern_hits": s.intern_hits,
-            "intern_misses": s.intern_misses}
-
-
-def _lambda_memo_stats(mgr: lam.LambdaManager) -> dict[str, dict[str, int]]:
-    tables = {"lifti": mgr.m_lifti, "subst": mgr.m_subst,
-              "hnf": mgr.m_hnf, "nf": mgr.m_nf}
-    return {name: {"hits": t.hits, "misses": t.misses,
-                   "body_evaluations": t.body_evaluations}
-            for name, t in tables.items()}
-
-
 def _taut_formula(args) -> tuple[str, fm.Formula]:
     if args.urquhart is not None:
         return f"taut --urquhart {args.urquhart}", fm.urquhart(args.urquhart)
@@ -83,11 +72,19 @@ def _check_size(size: int, suite: str) -> RunReport:
         command=f"bench {suite} --size {size}",
         result=taut,
         node_count=mgr.node_count(ref),
-        pool_stats=_pool_stats_dict(mgr),
-        memo_stats=mgr.memo_stats(),
         wall_time_ms=ms,
         extra={"size": size},
+        **mgr.stats(),
     )
+
+
+def _too_deep(action: str) -> int:
+    """Exit status 2 for input nested deeper than the recursive parser
+    and engine can follow."""
+    print(f"error: formula nested too deeply to {action}: its nesting "
+          f"depth exceeds the recursion limit of "
+          f"{sys.getrecursionlimit()} frames", file=sys.stderr)
+    return 2
 
 
 def cmd_taut(args) -> int:
@@ -96,6 +93,8 @@ def cmd_taut(args) -> int:
     except (fm.FormulaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        return _too_deep("parse")
     mgr = BddManager()
     t0 = time.perf_counter()
     try:
@@ -103,15 +102,16 @@ def cmd_taut(args) -> int:
     except (fm.FormulaError, MemoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        return _too_deep("compile")
     taut = mgr.is_tautology(ref)
     ms = (time.perf_counter() - t0) * 1000.0
     report = RunReport(
         command=command,
         result=taut,
         node_count=mgr.node_count(ref),
-        pool_stats=_pool_stats_dict(mgr),
-        memo_stats=mgr.memo_stats(),
         wall_time_ms=ms,
+        **mgr.stats(),
     )
     print(report.to_json())
     return 0 if taut else 1
@@ -124,13 +124,17 @@ def cmd_bench(args) -> int:
     except (fm.FormulaError, MemoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        return _too_deep("compile")
     for r in reports:
         if args.json:
             print(r.to_json())
         else:
             status = "tautology" if r.result else "NOT A TAUTOLOGY"
             print(f"{args.suite}({r.extra['size']}): {status}, "
-                  f"{r.node_count} nodes, {r.wall_time_ms:.1f} ms")
+                  f"{r.node_count} result nodes, "
+                  f"{r.pool_stats['node_count']} pool nodes, "
+                  f"{r.wall_time_ms:.1f} ms")
     if not all(r.result for r in reports):
         print("error: benchmark formula was not a tautology "
               "(engine bug)", file=sys.stderr)
@@ -184,15 +188,17 @@ def cmd_lambda_sort(args) -> int:
         return 3
     ms = (time.perf_counter() - t0) * 1000.0
     print(",".join(str(v) for v in sorted_values))
+    stats = mgr.stats()
+    if args.no_memo:  # the baseline used no memo table
+        stats["memo_stats"] = {}
     report = RunReport(
         command=f"lambda-sort --list {args.list}"
                 + (" --no-memo" if args.no_memo else ""),
         result=sorted_values,
         node_count=len(mgr.pool),
-        pool_stats=_pool_stats_dict(mgr),
-        memo_stats=_lambda_memo_stats(mgr),
         wall_time_ms=ms,
         extra=extra,
+        **stats,
     )
     print(report.to_json())
     return 0

@@ -60,26 +60,28 @@ class Pool:
 
     `fwd` maps payloads to identifiers, `back` is the inverse table
     indexed by identifier, and `next` (== len(back)) is the next fresh
-    identifier.  Clients may reserve fixed identifiers (e.g. BDD
-    leaves) by passing `preallocated` payloads; those get ids 0, 1, ...
-    in order, before any intern call.
+    identifier.  `back` is public for engines that read ids they were
+    issued without `resolve`'s bounds check; only `intern` writes it.
+    Clients may reserve fixed identifiers (e.g. BDD leaves) by passing
+    `preallocated` payloads; those get ids 0, 1, ... in order, before
+    any intern call.
 
     Single-writer: mutate from one logical thread at a time.
     """
 
     def __init__(self, preallocated: Iterable[Payload] = ()) -> None:
-        self._back: list[Payload] = []
+        self.back: list[Payload] = []
         self._fwd: dict[Payload, int] = {}
         self._hits = 0
         self._misses = 0
         for p in preallocated:
-            uid = len(self._back)
-            self._back.append(p)
+            uid = len(self.back)
+            self.back.append(p)
             self._fwd[p] = uid
 
     @property
     def next(self) -> int:
-        return len(self._back)
+        return len(self.back)
 
     def intern(self, p: Payload) -> int:
         """Return the identifier of `p`, allocating a fresh one iff no
@@ -88,28 +90,28 @@ class Pool:
         if existing is not None:
             self._hits += 1
             return existing
-        n = len(self._back)
+        n = len(self.back)
         for c in p.children:
             if not (0 <= c < n):
                 raise InvalidChildError(
                     f"child id {c} out of range (pool has {n} nodes)"
                 )
-        self._back.append(p)
+        self.back.append(p)
         self._fwd[p] = n
         self._misses += 1
         return n
 
     def resolve(self, uid: int) -> Payload:
         """Inverse of intern: the payload stored under `uid`."""
-        if not (0 <= uid < len(self._back)):
+        if not (0 <= uid < len(self.back)):
             raise UnknownIdError(
-                f"id {uid} out of range (pool has {len(self._back)} nodes)"
+                f"id {uid} out of range (pool has {len(self.back)} nodes)"
             )
-        return self._back[uid]
+        return self.back[uid]
 
     def stats(self) -> PoolStats:
         return PoolStats(
-            node_count=len(self._back),
+            node_count=len(self.back),
             intern_hits=self._hits,
             intern_misses=self._misses,
         )
@@ -120,7 +122,7 @@ class Pool:
         intern; a nonempty result means maximal sharing was violated."""
         seen: dict[Payload, int] = {}
         dups: list[tuple[int, int]] = []
-        for uid, p in enumerate(self._back):
+        for uid, p in enumerate(self.back):
             first = seen.get(p)
             if first is None:
                 seen[p] = uid
@@ -132,9 +134,9 @@ class Pool:
         """Test-only backdoor: store a second copy of an existing
         payload under a fresh id, bypassing the fwd table."""
         p = self.resolve(uid)
-        n = len(self._back)
-        self._back.append(p)
+        n = len(self.back)
+        self.back.append(p)
         return n
 
     def __len__(self) -> int:
-        return len(self._back)
+        return len(self.back)

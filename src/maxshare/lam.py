@@ -15,7 +15,9 @@ node is first interned: `var i` has `i + 1`, `app f a` has
 `subst(w, n, t)` and `lifti(n, t, k)` return `t` itself when `bound(t)`
 is at or below the cut (`n`, resp. `k`), without a memo lookup, a
 recursive call or a pool intern; the memoized bodies only ever see
-subterms with a free index at or above the cut.
+subterms with a free index at or above the cut.  `lifti` by `n == 0`
+(what `subst` at cut 0 asks for) is the identity and returns `t` the
+same way.
 
 Normalization of non-trivial terms recurses deeply; run top-level calls
 through `run_deep` (a worker thread with a large stack and a raised
@@ -26,10 +28,11 @@ from __future__ import annotations
 
 import sys
 import threading
+from dataclasses import asdict
 from typing import Callable, Sequence
 
 from .intern import Payload, Pool
-from .memo import DepthExceededError, MemoTable, memo_fix
+from .memo import DepthExceededError, MemoTable, memo_fix, table_stats
 
 VAR_TAG = 0
 APP_TAG = 1
@@ -117,10 +120,10 @@ class LambdaManager:
         self._bound: list[int] = []
         self.memo_enabled = memo_enabled
         self.step_guard = step_guard
-        self.m_lifti = MemoTable(3)
-        self.m_subst = MemoTable(3)
-        self.m_hnf = MemoTable(1)
-        self.m_nf = MemoTable(1)
+        self.m_lifti = MemoTable()
+        self.m_subst = MemoTable()
+        self.m_hnf = MemoTable()
+        self.m_nf = MemoTable()
         self._steps = 0
         self._active = 0
         self._build_fixers()
@@ -168,7 +171,6 @@ class LambdaManager:
     # means bound(b) > c + 1), so only application children are tested.
 
     def _build_fixers(self) -> None:
-        guard = 1 << 62  # the step guard is the real safety net
         mt = (lambda t: t) if self.memo_enabled else (lambda t: None)
         bound = self._bound
 
@@ -183,10 +185,10 @@ class LambdaManager:
             return self.mk_app(f if bound[f] <= k else recurse((n, f, k)),
                                a if bound[a] <= k else recurse((n, a, k)))
 
-        lifti_fix = memo_fix(lifti_body, mt(self.m_lifti), depth_guard=guard)
+        lifti_fix = memo_fix(lifti_body, mt(self.m_lifti))
 
         def lifti(n: int, t: int, k: int) -> int:
-            return t if bound[t] <= k else lifti_fix((n, t, k))
+            return t if n == 0 or bound[t] <= k else lifti_fix((n, t, k))
 
         def subst_body(recurse, key):
             w, n, t = key
@@ -202,7 +204,7 @@ class LambdaManager:
             return self.mk_app(f if bound[f] <= n else recurse((w, n, f)),
                                a if bound[a] <= n else recurse((w, n, a)))
 
-        subst_fix = memo_fix(subst_body, mt(self.m_subst), depth_guard=guard)
+        subst_fix = memo_fix(subst_body, mt(self.m_subst))
 
         def subst(w: int, n: int, t: int) -> int:
             return t if bound[t] <= n else subst_fix((w, n, t))
@@ -232,7 +234,7 @@ class LambdaManager:
                 return recurse((beta(u, hp.children[0]),))
             return self.mk_app(h, u)
 
-        self._hnf = memo_fix(hnf_body, mt(self.m_hnf), depth_guard=guard)
+        self._hnf = memo_fix(hnf_body, mt(self.m_hnf))
 
         def nf_body(recurse, key):
             (t,) = key
@@ -248,10 +250,10 @@ class LambdaManager:
                 return recurse((beta(u, hp.children[0]),))
             return self.mk_app(recurse((h,)), recurse((u,)))
 
-        self._nf = memo_fix(nf_body, mt(self.m_nf), depth_guard=guard)
+        self._nf = memo_fix(nf_body, mt(self.m_nf))
 
     def lifti(self, n: int, t: int, k: int) -> int:
-        """Shift free variables >= k up by n; t itself when
+        """Shift free variables >= k up by n; t itself when n == 0 or
         bound(t) <= k."""
         self.pool.resolve(t)
         return self._lifti(n, t, k)
@@ -288,6 +290,14 @@ class LambdaManager:
     def reduction_steps(self) -> int:
         """Beta steps taken by the current/last top-level hnf/nf call."""
         return self._steps
+
+    def stats(self) -> dict[str, dict]:
+        """Pool counters and each memo table's hits, misses and body
+        evaluations, as the `pool_stats` and `memo_stats` of a report."""
+        return {"pool_stats": asdict(self.pool.stats()),
+                "memo_stats": table_stats({
+                    "lifti": self.m_lifti, "subst": self.m_subst,
+                    "hnf": self.m_hnf, "nf": self.m_nf})}
 
 
 # -- plain reference normalizer --------------------------------------------

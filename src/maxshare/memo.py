@@ -1,18 +1,18 @@
 """Memoization tables and a memoizing fixpoint combinator.
 
-Tables map fixed-arity key tuples (identifiers and small scalars) to
-result values.  An entry, once written, is never rebound to a different
-value; attempting to do so signals an impure memoized function.
-Tables persist across top-level calls (conservative lifetime) and can
-be reset explicitly for experimentation.
+Tables map key tuples (identifiers and small scalars) to result values.
+An entry, once written, is never rebound to a different value;
+attempting to do so signals an impure memoized function.  Tables
+persist across top-level calls (conservative lifetime).
+
+`memo_fix` adds no recursion guard of its own: a body that is not
+well-founded ends in Python's `RecursionError`, and the lambda
+normalizer bounds its beta steps with `DepthExceededError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable
-
-DEFAULT_DEPTH_GUARD = 100_000
+from typing import Any, Callable, Mapping
 
 MemoKey = tuple
 
@@ -21,40 +21,27 @@ class MemoError(Exception):
     pass
 
 
-class MemoUsageError(MemoError):
-    """Key arity does not match the table's arity."""
-
-
 class MemoContractError(MemoError):
     """A key was rebound to a different value (impure body)."""
 
 
 class DepthExceededError(MemoError):
-    """The recursion guard tripped; the body is likely not well-founded."""
-
-
-@dataclass
-class MemoStats:
-    hits: int = 0
-    misses: int = 0
-    body_evaluations: int = 0
+    """A step bound tripped: the lambda normalizer's step guard, on
+    input that does not normalize within it."""
 
 
 _ABSENT = object()
 
 
 class MemoTable:
-    """Fixed-arity memo table with hit/miss counters.
+    """Memo table with hit/miss counters.
 
     For tables backing commutative binary operations, pass
     `commutative=True`: keys (a, b) are normalized to (min, max), which
     doubles the hit rate without a second entry.
     """
 
-    def __init__(self, arity: int, *, commutative: bool = False) -> None:
-        if commutative and arity != 2:
-            raise MemoUsageError("commutative normalization needs arity 2")
-        self.arity = arity
+    def __init__(self, *, commutative: bool = False) -> None:
         self.commutative = commutative
         self._entries: dict[MemoKey, Any] = {}
         self.hits = 0
@@ -62,10 +49,6 @@ class MemoTable:
         self.body_evaluations = 0
 
     def _norm(self, key: MemoKey) -> MemoKey:
-        if len(key) != self.arity:
-            raise MemoUsageError(
-                f"key arity {len(key)} != table arity {self.arity}"
-            )
         if self.commutative and key[0] > key[1]:
             return (key[1], key[0])
         return key
@@ -73,8 +56,7 @@ class MemoTable:
     def get(self, key: MemoKey) -> Any:
         """Stored value for `key`, or the module-private absent marker.
         Use `found(result)` to test presence."""
-        k = self._norm(key)
-        v = self._entries.get(k, _ABSENT)
+        v = self._entries.get(self._norm(key), _ABSENT)
         if v is _ABSENT:
             self.misses += 1
         else:
@@ -83,23 +65,11 @@ class MemoTable:
 
     def put(self, key: MemoKey, value: Any) -> None:
         k = self._norm(key)
-        old = self._entries.get(k, _ABSENT)
-        if old is _ABSENT:
-            self._entries[k] = value
-        elif old != value:
+        old = self._entries.setdefault(k, value)
+        if old != value:
             raise MemoContractError(
                 f"key {k!r} rebound: {old!r} -> {value!r}"
             )
-
-    def reset(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> MemoStats:
-        return MemoStats(
-            hits=self.hits,
-            misses=self.misses,
-            body_evaluations=self.body_evaluations,
-        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -110,11 +80,16 @@ def found(result: Any) -> bool:
     return result is not _ABSENT
 
 
+def table_stats(tables: Mapping[str, MemoTable]) -> dict[str, dict[str, int]]:
+    """Hits, misses and body evaluations of each named table."""
+    return {name: {"hits": t.hits, "misses": t.misses,
+                   "body_evaluations": t.body_evaluations}
+            for name, t in tables.items()}
+
+
 def memo_fix(
     body: Callable[[Callable[[MemoKey], Any], MemoKey], Any],
     table: MemoTable | None,
-    *,
-    depth_guard: int = DEFAULT_DEPTH_GUARD,
 ) -> Callable[[MemoKey], Any]:
     """Memoizing fixpoint of `body`.
 
@@ -123,30 +98,21 @@ def memo_fix(
     extensionally equal to the plain fixpoint, and each distinct key's
     body runs at most once per table lifetime.  Passing `table=None`
     disables caching entirely (test mode); the results must not change.
-
-    Self-call depth beyond `depth_guard` raises DepthExceededError, the
-    runtime stand-in for a termination proof.
     """
-    depth = 0
+    if table is None:
+        def recurse(key: MemoKey) -> Any:
+            return body(recurse, key)
+        return recurse
+
+    get, put = table.get, table.put
 
     def recurse(key: MemoKey) -> Any:
-        nonlocal depth
-        if table is not None:
-            cached = table.get(key)
-            if found(cached):
-                return cached
-        if depth >= depth_guard:
-            raise DepthExceededError(
-                f"memoized recursion exceeded {depth_guard} frames"
-            )
-        depth += 1
-        try:
-            value = body(recurse, key)
-        finally:
-            depth -= 1
-        if table is not None:
-            table.body_evaluations += 1
-            table.put(key, value)
+        cached = get(key)
+        if cached is not _ABSENT:
+            return cached
+        value = body(recurse, key)
+        table.body_evaluations += 1
+        put(key, value)
         return value
 
     return recurse

@@ -155,7 +155,7 @@ def test_criterion_6_memoizing_fixpoint(capsys):
 
     ok = True
     for n in range(0, 31):
-        table = MemoTable(1)
+        table = MemoTable()
         value = memo_fix(exp_body, table)((n,))
         if value != 2**n or table.body_evaluations != n + 1:
             ok = False

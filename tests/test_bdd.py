@@ -9,12 +9,14 @@ from maxshare.bdd import (
     FALSE,
     NODE_TAG,
     TRUE,
+    BddError,
     BddManager,
     IllOrderedError,
     UnboundVariableError,
 )
 from maxshare.formula import compile as compile_formula
-from maxshare.formula import eval_formula, variables
+from maxshare.formula import eval_formula, pigeonhole, urquhart, variables
+from maxshare.intern import UnknownIdError
 
 
 def all_envs(nvars):
@@ -106,8 +108,24 @@ def test_apply2_pointwise_semantics():
 
 def test_unknown_op_rejected():
     mgr = BddManager()
-    with pytest.raises(Exception):
+    with pytest.raises(BddError):
         mgr.apply2("nand", TRUE, TRUE)
+
+
+def test_operations_reject_unknown_ids():
+    # internal steps index the payload list without a bounds check, so
+    # the public operations must reject what the pool never issued
+    mgr = BddManager()
+    x = mgr.mk_node(FALSE, 1, TRUE)
+    for bad in (-1, len(mgr.pool)):
+        for call in (lambda: mgr.apply2("and", x, bad),
+                     lambda: mgr.apply2("xor", bad, x),
+                     lambda: mgr.mk_not(bad),
+                     lambda: mgr.mk_ite(bad, x, TRUE),
+                     lambda: mgr.mk_ite(x, bad, TRUE),
+                     lambda: mgr.mk_ite(x, TRUE, bad)):
+            with pytest.raises(UnknownIdError):
+                call()
 
 
 # -- mk_not ----------------------------------------------------------------
@@ -267,3 +285,28 @@ def test_canonicity_property(f, g):
         for env in all_envs(4)
     )
     assert (rf == rg) == agree
+
+
+def _counters(mgr):
+    s = mgr.pool.stats()
+    tables = {name: (len(t), t.hits)
+              for name, t in (("and", mgr.m_and), ("or", mgr.m_or),
+                              ("xor", mgr.m_xor), ("not", mgr.m_not),
+                              ("ite", mgr.m_ite)) if len(t)}
+    for t in (mgr.m_and, mgr.m_or, mgr.m_xor, mgr.m_not, mgr.m_ite):
+        assert t.body_evaluations == t.misses == len(t)
+    return s.node_count, s.intern_hits, tables
+
+
+def test_pinned_counters():
+    # node and memo counts are fixed by the algorithm: a refactor of the
+    # engine must leave them exactly as they are
+    mgr = BddManager()
+    assert compile_formula(mgr, pigeonhole(6)) == TRUE
+    assert _counters(mgr) == (12_487, 5_067, {"and": (162, 0),
+                                              "or": (19_157, 8_602),
+                                              "not": (44, 41)})
+    mgr = BddManager()
+    assert compile_formula(mgr, urquhart(50)) == TRUE
+    assert _counters(mgr) == (2_552, 2_500, {"xor": (2_549, 2_352),
+                                             "not": (2_502, 2_696)})

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from maxshare import formula as fm
 from maxshare.cli import main
 
 
@@ -71,6 +72,46 @@ def test_bench_pigeonhole_single(capsys):
     assert len(out.strip().splitlines()) == 1
 
 
+def test_bench_text_reports_pool_size(capsys):
+    # a tautology's result is the TRUE leaf (0 decision nodes); the work
+    # shows in the pool
+    code, out, _ = run_cli(capsys, "bench", "urquhart", "--max", "3")
+    assert code == 0
+    line = out.strip().splitlines()[-1]
+    assert "0 result nodes" in line
+    pool = int(line.split(" pool nodes")[0].rsplit(" ", 1)[-1])
+    assert pool > 2
+
+
+def test_taut_too_deep_urquhart_exit_two(capsys):
+    # a tautology whose nesting exceeds the recursion limit is an engine
+    # error (2), never "not a tautology" (1)
+    code, out, err = run_cli(capsys, "taut", "--urquhart", "400")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_taut_too_deep_file_exit_two(tmp_path, capsys):
+    path = tmp_path / "deep.bf"
+    path.write_text("!" * 3000 + "x1 | 1\n")
+    code, out, err = run_cli(capsys, "taut", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_bench_too_deep_exit_two(capsys, monkeypatch):
+    deep = fm.Var(1)
+    for _ in range(3000):
+        deep = fm.Not(deep)
+    monkeypatch.setattr(fm, "urquhart", lambda n: fm.Or(deep, fm.Const(True)))
+    code, out, err = run_cli(capsys, "bench", "urquhart", "--max", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
 def test_bench_bad_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "nosuch", "--max", "3"])
@@ -103,6 +144,9 @@ def test_lambda_sort_no_memo_matches(capsys):
                              "--no-memo")
     assert code1 == code2 == 0
     assert out1.splitlines()[0] == out2.splitlines()[0] == "0,1,2"
+    # the baseline uses no memo table, so it reports none
+    assert json.loads(out1.splitlines()[1])["memo_stats"]["subst"]["misses"]
+    assert json.loads(out2.splitlines()[1])["memo_stats"] == {}
 
 
 def test_lambda_sort_no_memo_value_guard(capsys):

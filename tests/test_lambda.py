@@ -172,6 +172,7 @@ def test_subst_lifti_skip_terms_at_or_below_the_cut(mgr):
     assert mgr.bound(t) == 2
     assert mgr.subst(w, 2, t) == t
     assert mgr.lifti(5, t, 2) == t
+    assert mgr.lifti(0, t, 0) == t  # a lift by 0 is the identity
     assert len(mgr.m_subst) == 0 and len(mgr.m_lifti) == 0
     assert mgr.subst(w, 1, t) != t
     assert mgr.lifti(5, t, 1) != t
@@ -329,12 +330,14 @@ def test_memo_effectiveness_on_four_element_sort():
 def test_quicksort_reverse_ten_counters():
     # Pinned counters: the bound shortcut leaves the reduction itself
     # (steps, pool nodes, hnf entries) unchanged and keeps the subst
-    # table small (130,732 entries without the shortcut).
+    # table small (130,732 entries without the shortcut); skipping
+    # lifts by 0 takes the lifti table from 820 entries to 425.
     _, m = sort_via_lambda(list(range(9, -1, -1)))
     assert m.reduction_steps == 2193
     assert m.pool.stats().intern_misses == 6477
     assert len(m.m_hnf) == 4590
-    assert len(m.m_subst) < 10_000
+    assert len(m.m_subst) == 6983
+    assert len(m.m_lifti) == 425
 
 
 # -- run_deep --------------------------------------------------------------

@@ -2,63 +2,56 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxshare.memo import (
-    DepthExceededError,
     MemoContractError,
     MemoTable,
-    MemoUsageError,
     found,
     memo_fix,
 )
 
 
 def test_get_on_empty_table_misses():
-    t = MemoTable(2)
+    t = MemoTable()
     assert not found(t.get((1, 2)))
     assert t.misses == 1 and t.hits == 0
 
 
 def test_put_then_get():
-    t = MemoTable(2)
+    t = MemoTable()
     t.put((1, 2), 99)
     assert t.get((1, 2)) == 99
     assert t.hits == 1
 
 
-def test_wrong_arity_rejected():
-    t = MemoTable(2)
-    with pytest.raises(MemoUsageError):
-        t.get((1,))
-    with pytest.raises(MemoUsageError):
-        t.put((1, 2, 3), 0)
-
-
 def test_put_idempotent():
-    t = MemoTable(1)
+    t = MemoTable()
     t.put((5,), "v")
     t.put((5,), "v")
     assert t.get((5,)) == "v"
 
 
 def test_rebinding_is_contract_violation():
-    t = MemoTable(1)
+    t = MemoTable()
     t.put((5,), "v1")
     with pytest.raises(MemoContractError):
         t.put((5,), "v2")
 
 
 def test_commutative_normalization():
-    t = MemoTable(2, commutative=True)
+    t = MemoTable(commutative=True)
     t.put((7, 3), "x")
     assert t.get((3, 7)) == "x"
-    with pytest.raises(MemoUsageError):
-        MemoTable(3, commutative=True)
 
+    calls = []
 
-def test_reset():
-    t = MemoTable(1)
-    t.put((1,), 2)
-    t.reset()
-    assert not found(t.get((1,)))
+    def body(recurse, key):
+        calls.append(key)
+        return key[0] + key[1]
+
+    table = MemoTable(commutative=True)
+    f = memo_fix(body, table)
+    assert f((7, 3)) == f((3, 7)) == 10
+    assert calls == [(7, 3)]
+    assert table.body_evaluations == 1 and len(table) == 1
 
 
 def _exp_body(recurse, key):
@@ -71,7 +64,7 @@ def _exp_body(recurse, key):
 def test_exp_linear_evaluations():
     # doubly-recursive exponential; memoized it needs n+1 body runs
     for n in range(0, 31):
-        t = MemoTable(1)
+        t = MemoTable()
         f = memo_fix(_exp_body, t)
         assert f((n,)) == 2**n
         assert t.body_evaluations == n + 1
@@ -83,7 +76,7 @@ def _plain_fib(n):
 
 
 def test_fib_matches_plain_recursion():
-    t = MemoTable(1)
+    t = MemoTable()
 
     def body(recurse, key):
         (n,) = key
@@ -95,7 +88,7 @@ def test_fib_matches_plain_recursion():
 
 
 def test_at_most_once_per_key():
-    t = MemoTable(1)
+    t = MemoTable()
     f = memo_fix(_exp_body, t)
     f((10,))
     evals = t.body_evaluations
@@ -103,24 +96,15 @@ def test_at_most_once_per_key():
     assert t.body_evaluations == evals
 
 
-def test_depth_guard():
-    def body(recurse, key):
-        return recurse((key[0] + 1,))
-
-    f = memo_fix(body, MemoTable(1), depth_guard=50)
-    with pytest.raises(DepthExceededError):
-        f((0,))
-
-
 @given(st.integers(0, 18))
 def test_transparency_against_unmemoized(n):
-    memoized = memo_fix(_exp_body, MemoTable(1))
+    memoized = memo_fix(_exp_body, MemoTable())
     plain = memo_fix(_exp_body, None)
     assert memoized((n,)) == plain((n,)) == 2**n
 
 
 def test_table_persists_across_calls():
-    t = MemoTable(1)
+    t = MemoTable()
     f = memo_fix(_exp_body, t)
     f((8,))
     g = memo_fix(_exp_body, t)  # fresh combinator, same table
