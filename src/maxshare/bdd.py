@@ -7,14 +7,18 @@ indices with the smallest index at the root.  Equality of functions is
 therefore identifier equality, and tautology checking is a comparison
 against the TRUE leaf.
 
-Leaves get the fixed identifiers 0 (FALSE) and 1 (TRUE) via pool
-preallocation.  The pool is the unique table; each operation has its
-own memo table (the computed table).  Binary operations are one generic
-melding body instantiated with per-operation leaf-rewrite rules; the
-memoized recursions are built once per manager.  Ids and ops are
-checked once, at the public entry points (`apply2`, `mk_not`, `mk_ite`,
-`mk_node`, `node`, `head_var`); internal steps read the payloads of ids
-the pool issued directly.
+Each node is one flat `(var, low, high)` tuple: the same object is the
+pool's unique-table key and its stored node, and no `Payload` is built
+per node.  The leaves are preallocated as `(LEAF_VAR, 0, 0)` (FALSE,
+id 0) and `(LEAF_VAR, 1, 1)` (TRUE, id 1), so `nodes[x][0]` is the head
+variable of any id, leaves included.  The pool is the unique table;
+each operation has its own memo table (the computed table).  Binary
+operations are one generic melding body instantiated with
+per-operation leaf-rewrite rules; the memoized recursions are built
+once per manager.  Ids and ops are checked once, at the public entry
+points (`apply2`, `mk_not`, `mk_ite`, `mk_node`, `node`, `head_var`,
+`eval`, `node_count`); internal steps read the nodes of ids the pool
+issued directly.
 """
 
 from __future__ import annotations
@@ -22,11 +26,8 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Mapping, NamedTuple
 
-from .intern import Payload, Pool
+from .intern import Pool
 from .memo import MemoTable, memo_fix, table_stats
-
-LEAF_TAG = 0
-NODE_TAG = 1
 
 FALSE = 0
 TRUE = 1
@@ -53,10 +54,6 @@ class BddNode(NamedTuple):
     high: int
 
 
-def _leaf_payload(value: bool) -> Payload:
-    return Payload(tag=LEAF_TAG, attrs=(int(value),))
-
-
 class BddManager:
     """Owns the node pool and the per-operation memo tables.
 
@@ -65,8 +62,8 @@ class BddManager:
     """
 
     def __init__(self, *, memo_enabled: bool = True) -> None:
-        self.pool = Pool(preallocated=[_leaf_payload(False),
-                                       _leaf_payload(True)])
+        self.pool = Pool(preallocated=[(LEAF_VAR, FALSE, FALSE),
+                                       (LEAF_VAR, TRUE, TRUE)])
         self.memo_enabled = memo_enabled
         self.m_and = MemoTable(commutative=True)
         self.m_or = MemoTable(commutative=True)
@@ -79,31 +76,29 @@ class BddManager:
         return a == FALSE or a == TRUE
 
     def node(self, a: int) -> BddNode:
-        p = self.pool.resolve(a)
-        if p.tag != NODE_TAG:
+        v, low, high = self.pool.resolve(a)
+        if a <= TRUE:
             raise BddError(f"id {a} is a leaf, not a decision node")
-        low, high = p.children
-        return BddNode(low=low, var=p.attrs[0], high=high)
+        return BddNode(low=low, var=v, high=high)
 
     def head_var(self, a: int) -> int:
-        p = self.pool.resolve(a)
-        return LEAF_VAR if p.tag == LEAF_TAG else p.attrs[0]
+        return self.pool.resolve(a)[0]
 
     def mk_node(self, low: int, v: int, high: int) -> int:
         """Reduced, ordered node constructor: collapses equal children,
-        otherwise interns (low, v, high)."""
+        otherwise interns (v, low, high).  Both children must be ids
+        the pool issued."""
+        head_low, head_high = self.head_var(low), self.head_var(high)
         if low == high:
             return low
         if not (0 <= v < LEAF_VAR):
             raise IllOrderedError(f"variable index {v} out of range")
-        if v >= self.head_var(low) or v >= self.head_var(high):
+        if v >= head_low or v >= head_high:
             raise IllOrderedError(
                 f"variable {v} not above children "
-                f"(heads {self.head_var(low)}, {self.head_var(high)})"
+                f"(heads {head_low}, {head_high})"
             )
-        return self.pool.intern(
-            Payload(tag=NODE_TAG, attrs=(v,), children=(low, high))
-        )
+        return self.pool.intern((v, low, high))
 
     # -- operations ------------------------------------------------------
     #
@@ -121,22 +116,19 @@ class BddManager:
         def mk(low: int, v: int, high: int) -> int:
             if low == high:
                 return low
-            return intern(Payload(NODE_TAG, (v,), (low, high)))
+            return intern((v, low, high))
 
         def meld(step):
             """Body of a binary operation: simultaneous descent on the
             smaller head variable, each cofactor pair through `step`."""
             def body(_, key):
                 x, y = key
-                px, py = nodes[x], nodes[y]
-                vx, vy = px.attrs[0], py.attrs[0]
+                vx, xl, xh = nodes[x]
+                vy, yl, yh = nodes[y]
                 if vx == vy:
-                    (xl, xh), (yl, yh) = px.children, py.children
                     return mk(step(xl, yl), vx, step(xh, yh))
                 if vx < vy:
-                    xl, xh = px.children
                     return mk(step(xl, y), vx, step(xh, y))
-                yl, yh = py.children
                 return mk(step(x, yl), vy, step(x, yh))
             return body
 
@@ -179,24 +171,18 @@ class BddManager:
                 return TRUE
             if x == TRUE:
                 return FALSE
-            p = nodes[x]
-            low, high = p.children
-            return mk(recurse((low,)), p.attrs[0], recurse((high,)))
+            v, low, high = nodes[x]
+            return mk(recurse((low,)), v, recurse((high,)))
 
         not_fix = memo_fix(not_body, mt(self.m_not))
 
-        def head(x: int) -> int:
-            return LEAF_VAR if x <= TRUE else nodes[x].attrs[0]
-
         def cofactors(x: int, v: int) -> tuple[int, int]:
-            if x <= TRUE:
-                return x, x
-            p = nodes[x]
-            return p.children if p.attrs[0] == v else (x, x)
+            w, low, high = nodes[x]
+            return (low, high) if w == v else (x, x)
 
         def ite_body(_, key):
             x, y, z = key
-            v = min(head(x), head(y), head(z))
+            v = min(nodes[x][0], nodes[y][0], nodes[z][0])
             xl, xh = cofactors(x, v)
             yl, yh = cofactors(y, v)
             zl, zh = cofactors(z, v)
@@ -251,16 +237,18 @@ class BddManager:
     def eval(self, a: int, env: Mapping[int, bool]) -> bool:
         """Follow the path selected by `env`; every variable actually
         traversed must be bound."""
+        self.pool.resolve(a)
+        nodes = self.pool.back
         cur = a
-        while not self.is_leaf(cur):
-            n = self.node(cur)
+        while cur > TRUE:
+            v, low, high = nodes[cur]
             try:
-                bit = env[n.var]
+                bit = env[v]
             except KeyError:
                 raise UnboundVariableError(
-                    f"variable x{n.var} unbound in environment"
+                    f"variable x{v} unbound in environment"
                 ) from None
-            cur = n.high if bit else n.low
+            cur = high if bit else low
         return cur == TRUE
 
     def is_tautology(self, a: int) -> bool:
@@ -269,16 +257,18 @@ class BddManager:
 
     def node_count(self, a: int) -> int:
         """Distinct decision nodes reachable from `a`, leaves excluded."""
+        self.pool.resolve(a)
+        nodes = self.pool.back
         seen: set[int] = set()
         stack = [a]
         while stack:
             x = stack.pop()
-            if x in seen or self.is_leaf(x):
+            if x <= TRUE or x in seen:
                 continue
             seen.add(x)
-            n = self.node(x)
-            stack.append(n.low)
-            stack.append(n.high)
+            _, low, high = nodes[x]
+            stack.append(low)
+            stack.append(high)
         return len(seen)
 
     def stats(self) -> dict[str, dict]:

@@ -6,9 +6,10 @@ Subcommands:
                  tautology; exit 0 iff tautology, 1 iff not, 2 on error
                  (a formula nested too deeply for the recursive parser
                  or engine included)
-    bench        run a benchmark suite over sizes 1..N, one JSON record
-                 per size; exit 3 if any size is not a tautology, 2 on
-                 error
+    bench        run a benchmark suite over sizes 1..N, one record per
+                 size, printed as the size finishes; exit 3 if any size
+                 is not a tautology, 2 on error (the `error:` line names
+                 the size)
     lambda-sort  sort a comma-separated list of naturals through the
                  lambda-calculus quicksort; exit 3 on decode failure
 
@@ -78,11 +79,11 @@ def _check_size(size: int, suite: str) -> RunReport:
     )
 
 
-def _too_deep(action: str) -> int:
+def _too_deep(action: str, where: str = "") -> int:
     """Exit status 2 for input nested deeper than the recursive parser
     and engine can follow."""
-    print(f"error: formula nested too deeply to {action}: its nesting "
-          f"depth exceeds the recursion limit of "
+    print(f"error: {where}formula nested too deeply to {action}: its "
+          f"nesting depth exceeds the recursion limit of "
           f"{sys.getrecursionlimit()} frames", file=sys.stderr)
     return 2
 
@@ -118,24 +119,25 @@ def cmd_taut(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        reports = [_check_size(size, args.suite)
-                   for size in range(1, args.max + 1)]
-    except (fm.FormulaError, MemoError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        return _too_deep("compile")
-    for r in reports:
+    all_taut = True
+    for size in range(1, args.max + 1):
+        where = f"{args.suite}({size}): "
+        try:
+            r = _check_size(size, args.suite)
+        except (fm.FormulaError, MemoError) as exc:
+            print(f"error: {where}{exc}", file=sys.stderr)
+            return 2
+        except RecursionError:
+            return _too_deep("compile", where)
         if args.json:
-            print(r.to_json())
+            print(r.to_json(), flush=True)
         else:
             status = "tautology" if r.result else "NOT A TAUTOLOGY"
-            print(f"{args.suite}({r.extra['size']}): {status}, "
-                  f"{r.node_count} result nodes, "
+            print(f"{where}{status}, {r.node_count} result nodes, "
                   f"{r.pool_stats['node_count']} pool nodes, "
-                  f"{r.wall_time_ms:.1f} ms")
-    if not all(r.result for r in reports):
+                  f"{r.wall_time_ms:.1f} ms", flush=True)
+        all_taut = all_taut and r.result
+    if not all_taut:
         print("error: benchmark formula was not a tautology "
               "(engine bug)", file=sys.stderr)
         return 3

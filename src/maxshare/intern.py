@@ -5,6 +5,10 @@ guarantees that structurally equal payloads share a single identifier
 for the lifetime of the pool (maximal sharing).  Identifier equality is
 the equality test; identifiers are meaningful only relative to the pool
 that issued them.
+
+A payload is a `Payload`, whose child ids the pool checks, or a plain
+tuple that an engine lays out and checks itself (the BDD engine's flat
+`(var, low, high)` nodes).
 """
 
 from __future__ import annotations
@@ -69,9 +73,9 @@ class Pool:
     Single-writer: mutate from one logical thread at a time.
     """
 
-    def __init__(self, preallocated: Iterable[Payload] = ()) -> None:
-        self.back: list[Payload] = []
-        self._fwd: dict[Payload, int] = {}
+    def __init__(self, preallocated: Iterable[tuple] = ()) -> None:
+        self.back: list[tuple] = []
+        self._fwd: dict[tuple, int] = {}
         self._hits = 0
         self._misses = 0
         for p in preallocated:
@@ -83,25 +87,28 @@ class Pool:
     def next(self) -> int:
         return len(self.back)
 
-    def intern(self, p: Payload) -> int:
+    def intern(self, p: tuple) -> int:
         """Return the identifier of `p`, allocating a fresh one iff no
-        structurally equal payload is already present."""
+        structurally equal payload is already present.  The children of
+        a new `Payload` must be ids this pool issued; a plain tuple is
+        stored as given."""
         existing = self._fwd.get(p)
         if existing is not None:
             self._hits += 1
             return existing
         n = len(self.back)
-        for c in p.children:
-            if not (0 <= c < n):
-                raise InvalidChildError(
-                    f"child id {c} out of range (pool has {n} nodes)"
-                )
+        if isinstance(p, Payload):
+            for c in p.children:
+                if not (0 <= c < n):
+                    raise InvalidChildError(
+                        f"child id {c} out of range (pool has {n} nodes)"
+                    )
         self.back.append(p)
         self._fwd[p] = n
         self._misses += 1
         return n
 
-    def resolve(self, uid: int) -> Payload:
+    def resolve(self, uid: int) -> tuple:
         """Inverse of intern: the payload stored under `uid`."""
         if not (0 <= uid < len(self.back)):
             raise UnknownIdError(
@@ -120,7 +127,7 @@ class Pool:
         """Every pair of distinct identifiers whose payloads are
         structurally equal.  Empty on any pool populated solely through
         intern; a nonempty result means maximal sharing was violated."""
-        seen: dict[Payload, int] = {}
+        seen: dict[tuple, int] = {}
         dups: list[tuple[int, int]] = []
         for uid, p in enumerate(self.back):
             first = seen.get(p)

@@ -165,18 +165,22 @@ class LambdaManager:
 
     # -- operations ------------------------------------------------------
     #
-    # The memoized lifti/subst bodies are entered only for a term whose
-    # bound is above the cut; every call on a child re-tests the bound
-    # first.  Under an abstraction the test is implied (bound(abs b) > c
-    # means bound(b) > c + 1), so only application children are tested.
+    # Ids are checked once, at the public `lifti`/`lift`/`subst`/`hnf`/
+    # `nf`/`bound`; the bodies below read the payloads of ids the pool
+    # issued straight from `pool.back`.  The memoized lifti/subst bodies
+    # are entered only for a term whose bound is above the cut; every
+    # call on a child re-tests the bound first.  Under an abstraction the
+    # test is implied (bound(abs b) > c means bound(b) > c + 1), so only
+    # application children are tested.
 
     def _build_fixers(self) -> None:
         mt = (lambda t: t) if self.memo_enabled else (lambda t: None)
         bound = self._bound
+        nodes = self.pool.back
 
         def lifti_body(recurse, key):
             n, t, k = key
-            p = self.pool.resolve(t)
+            p = nodes[t]
             if p.tag == VAR_TAG:
                 return self.mk_var(p.attrs[0] + n)
             if p.tag == ABS_TAG:
@@ -192,7 +196,7 @@ class LambdaManager:
 
         def subst_body(recurse, key):
             w, n, t = key
-            p = self.pool.resolve(t)
+            p = nodes[t]
             if p.tag == VAR_TAG:
                 i = p.attrs[0]
                 if i == n:
@@ -222,14 +226,14 @@ class LambdaManager:
 
         def hnf_body(recurse, key):
             (t,) = key
-            p = self.pool.resolve(t)
+            p = nodes[t]
             if p.tag == VAR_TAG:
                 return t
             if p.tag == ABS_TAG:
                 return self.mk_abs(recurse((p.children[0],)))
             f, u = p.children
             h = recurse((f,))
-            hp = self.pool.resolve(h)
+            hp = nodes[h]
             if hp.tag == ABS_TAG:
                 return recurse((beta(u, hp.children[0]),))
             return self.mk_app(h, u)
@@ -238,14 +242,14 @@ class LambdaManager:
 
         def nf_body(recurse, key):
             (t,) = key
-            p = self.pool.resolve(t)
+            p = nodes[t]
             if p.tag == VAR_TAG:
                 return t
             if p.tag == ABS_TAG:
                 return self.mk_abs(recurse((p.children[0],)))
             f, u = p.children
             h = self._hnf((f,))
-            hp = self.pool.resolve(h)
+            hp = nodes[h]
             if hp.tag == ABS_TAG:
                 return recurse((beta(u, hp.children[0]),))
             return self.mk_app(recurse((h,)), recurse((u,)))

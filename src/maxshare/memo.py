@@ -33,6 +33,10 @@ class DepthExceededError(MemoError):
 _ABSENT = object()
 
 
+def _rebound(key: MemoKey, old: Any, value: Any) -> MemoContractError:
+    return MemoContractError(f"key {key!r} rebound: {old!r} -> {value!r}")
+
+
 class MemoTable:
     """Memo table with hit/miss counters.
 
@@ -67,9 +71,7 @@ class MemoTable:
         k = self._norm(key)
         old = self._entries.setdefault(k, value)
         if old != value:
-            raise MemoContractError(
-                f"key {k!r} rebound: {old!r} -> {value!r}"
-            )
+            raise _rebound(k, old, value)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -104,15 +106,24 @@ def memo_fix(
             return body(recurse, key)
         return recurse
 
-    get, put = table.get, table.put
+    # `get` and `put` inlined, to one dict probe per call: keep the key
+    # normalisation, the counters and the rebinding check in step with
+    # them.  `body` still receives the caller's key.
+    entries = table._entries
+    commutative = table.commutative
 
     def recurse(key: MemoKey) -> Any:
-        cached = get(key)
+        k = (key[1], key[0]) if commutative and key[0] > key[1] else key
+        cached = entries.get(k, _ABSENT)
         if cached is not _ABSENT:
+            table.hits += 1
             return cached
+        table.misses += 1
         value = body(recurse, key)
         table.body_evaluations += 1
-        put(key, value)
+        old = entries.setdefault(k, value)
+        if old != value:
+            raise _rebound(k, old, value)
         return value
 
     return recurse

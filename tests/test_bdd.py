@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from conftest import formulas, random_formula
 from maxshare.bdd import (
     FALSE,
-    NODE_TAG,
     TRUE,
     BddError,
     BddManager,
@@ -63,6 +62,18 @@ def test_mk_node_rejects_bad_order():
         mgr.mk_node(inner, 2, TRUE)
     with pytest.raises(IllOrderedError):
         mgr.mk_node(inner, 5, TRUE)
+
+
+def test_mk_node_rejects_unknown_children():
+    # equal children collapse only after both are known to the pool
+    mgr = BddManager()
+    inner = mgr.mk_node(FALSE, 2, TRUE)
+    before = len(mgr.pool)
+    for low, v, high in ((999, 1, 999), (-5, 3, -5), (inner, 1, 999),
+                         (-1, 1, inner)):
+        with pytest.raises(UnknownIdError):
+            mgr.mk_node(low, v, high)
+    assert len(mgr.pool) == before
 
 
 # -- apply2 ----------------------------------------------------------------
@@ -210,15 +221,15 @@ def test_node_count():
 # -- invariants ------------------------------------------------------------
 
 def _check_reduced_ordered(mgr):
+    # through the public observers only, independent of the node layout
     for uid in range(len(mgr.pool)):
-        p = mgr.pool.resolve(uid)
-        if p.tag != NODE_TAG:
+        if mgr.is_leaf(uid):
             continue
-        low, high = p.children
-        assert low != high
-        v = p.attrs[0]
-        assert v < mgr.head_var(low)
-        assert v < mgr.head_var(high)
+        n = mgr.node(uid)
+        assert n.low != n.high
+        assert mgr.head_var(uid) == n.var
+        assert n.var < mgr.head_var(n.low)
+        assert n.var < mgr.head_var(n.high)
 
 
 def test_pool_reduced_and_ordered_after_workload():

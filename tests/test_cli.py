@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 
 import pytest
 
@@ -110,6 +112,24 @@ def test_bench_too_deep_exit_two(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_bench_prints_finished_sizes_before_a_failure(capsys):
+    # each record is printed as its size finishes, so a size that runs
+    # out of stack leaves the earlier records in place and is named
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        code, out, err = run_cli(capsys, "bench", "urquhart", "--max", "40",
+                                 "--json")
+    finally:
+        sys.setrecursionlimit(old)
+    assert code == 2
+    sizes = [json.loads(line)["size"] for line in out.strip().splitlines()]
+    assert sizes and sizes == list(range(1, len(sizes) + 1))
+    assert len(sizes) < 40
+    assert err.startswith(f"error: urquhart({len(sizes) + 1}): ")
+    assert "nested too deeply" in err
 
 
 def test_bench_bad_suite(capsys):

@@ -36,6 +36,19 @@ def test_rebinding_is_contract_violation():
         t.put((5,), "v2")
 
 
+def test_memo_fix_rebinding_is_contract_violation():
+    # an impure body: the same key is first bound by another function
+    t = MemoTable()
+    other = memo_fix(lambda recurse, key: "b", t)
+
+    def body(recurse, key):
+        other(key)
+        return "a"
+
+    with pytest.raises(MemoContractError):
+        memo_fix(body, t)((1,))
+
+
 def test_commutative_normalization():
     t = MemoTable(commutative=True)
     t.put((7, 3), "x")
