@@ -2,19 +2,11 @@
 unique identifiers, memoizing fixpoint combinators, a reduced ordered
 BDD engine, and a hash-consed lambda-calculus normalizer."""
 
-from .intern import (
-    InvalidChildError,
-    Payload,
-    Pool,
-    PoolStats,
-    UnknownIdError,
-    hash_payload,
-)
+from .intern import Pool, PoolStats, UnknownIdError
 from .memo import (
     DepthExceededError,
     MemoContractError,
     MemoTable,
-    found,
     memo_fix,
 )
 from .bdd import (
@@ -33,19 +25,15 @@ __all__ = [
     "DepthExceededError",
     "FALSE",
     "IllOrderedError",
-    "InvalidChildError",
     "LambdaManager",
     "MemoContractError",
     "MemoTable",
-    "Payload",
     "Pool",
     "PoolStats",
     "ShapeError",
     "TRUE",
     "UnboundVariableError",
     "UnknownIdError",
-    "found",
-    "hash_payload",
     "memo_fix",
 ]
 

@@ -8,10 +8,10 @@ therefore identifier equality, and tautology checking is a comparison
 against the TRUE leaf.
 
 Each node is one flat `(var, low, high)` tuple: the same object is the
-pool's unique-table key and its stored node, and no `Payload` is built
-per node.  The leaves are preallocated as `(LEAF_VAR, 0, 0)` (FALSE,
-id 0) and `(LEAF_VAR, 1, 1)` (TRUE, id 1), so `nodes[x][0]` is the head
-variable of any id, leaves included.  The pool is the unique table;
+pool's unique-table key and its stored node.  The leaves are
+preallocated as `(LEAF_VAR, 0, 0)` (FALSE, id 0) and `(LEAF_VAR, 1, 1)`
+(TRUE, id 1), so `nodes[x][0]` is the head variable of any id, leaves
+included.  The pool is the unique table;
 each operation has its own memo table (the computed table).  Binary
 operations are one generic melding body instantiated with
 per-operation leaf-rewrite rules; the memoized recursions are built

@@ -94,6 +94,9 @@ def cmd_taut(args) -> int:
     except (fm.FormulaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
     except RecursionError:
         return _too_deep("parse")
     mgr = BddManager()

@@ -12,7 +12,8 @@ Text grammar, operators by increasing binding strength:
     !    not        (prefix)
 
 Variables are `x<digits>` with 1-based indices below `bdd.LEAF_VAR`
-(2**32); constants are `0` and `1`; `#` starts a line comment.
+(2**32), leading zeros ignored; constants are `0` and `1`; `#` starts
+a line comment.
 """
 
 from __future__ import annotations
@@ -126,13 +127,13 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int, int]]:
             yield ("op", c, line, col)
             i += 1
             col += 1
-        elif c in "01" and not (i + 1 < n and text[i + 1].isdigit()):
+        elif c in "01" and not (i + 1 < n and text[i + 1].isdecimal()):
             yield ("const", c, line, col)
             i += 1
             col += 1
-        elif c == "x" and i + 1 < n and text[i + 1].isdigit():
+        elif c == "x" and i + 1 < n and text[i + 1].isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             yield ("var", text[i:j], line, col)
             col += j - i
@@ -211,13 +212,17 @@ class _Parser:
         if kind == "const":
             return Const(val == "1")
         if kind == "var":
-            index = int(val[1:])
-            if index == 0:
+            digits = val[1:].lstrip("0")
+            if not digits:
                 raise RangeError("variable indices are 1-based; x0 is invalid")
-            if index >= LEAF_VAR:
-                raise RangeError(f"{line}:{col}: variable index {index} "
+            # A longer index cannot be below LEAF_VAR; int() would also
+            # reject one past Python's int-string digit limit.
+            if len(digits) > len(str(LEAF_VAR)) or int(digits) >= LEAF_VAR:
+                shown = digits if len(digits) <= 20 else (
+                    f"{digits[:20]}... ({len(digits)} digits)")
+                raise RangeError(f"{line}:{col}: variable index {shown} "
                                  f"out of range (must be below {LEAF_VAR})")
-            return Var(index)
+            return Var(int(digits))
         if kind == "op" and val == "(":
             f = self.formula()
             self.expect_op(")")

@@ -6,50 +6,24 @@ for the lifetime of the pool (maximal sharing).  Identifier equality is
 the equality test; identifiers are meaningful only relative to the pool
 that issued them.
 
-A payload is a `Payload`, whose child ids the pool checks, or a plain
-tuple that an engine lays out and checks itself (the BDD engine's flat
-`(var, low, high)` nodes).
+A payload is a plain tuple that an engine lays out and checks itself:
+the BDD engine's `(var, low, high)` nodes and the lambda engine's
+`(tag, x, y)` nodes.  The pool stores it as given; each engine checks
+the ids it is handed at its own public boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
-
-UID_MASK = (1 << 64) - 1
+from dataclasses import dataclass
+from typing import Iterable
 
 
 class PoolError(Exception):
     """Base class for pool usage errors."""
 
 
-class InvalidChildError(PoolError):
-    """A payload references an identifier the pool never issued."""
-
-
 class UnknownIdError(PoolError):
     """Lookup of an identifier the pool never issued."""
-
-
-class Payload(NamedTuple):
-    """Immutable node description: constructor tag, scalar attributes,
-    and child identifiers.  Children are compared by identifier, never
-    by structure."""
-
-    tag: int
-    attrs: tuple[int, ...] = ()
-    children: tuple[int, ...] = ()
-
-
-def hash_payload(p: Payload) -> int:
-    """64-bit hash of (tag, attrs, children).
-
-    Deterministic for integer-only payloads (tuple hashing does not
-    depend on PYTHONHASHSEED).  A hash collision is allowed; the pool
-    always confirms candidates with full structural comparison, which
-    the fwd dict performs via tuple equality.
-    """
-    return hash(p) & UID_MASK
 
 
 @dataclass
@@ -89,20 +63,13 @@ class Pool:
 
     def intern(self, p: tuple) -> int:
         """Return the identifier of `p`, allocating a fresh one iff no
-        structurally equal payload is already present.  The children of
-        a new `Payload` must be ids this pool issued; a plain tuple is
-        stored as given."""
+        structurally equal payload is already present.  `p` is stored
+        as given."""
         existing = self._fwd.get(p)
         if existing is not None:
             self._hits += 1
             return existing
         n = len(self.back)
-        if isinstance(p, Payload):
-            for c in p.children:
-                if not (0 <= c < n):
-                    raise InvalidChildError(
-                        f"child id {c} out of range (pool has {n} nodes)"
-                    )
         self.back.append(p)
         self._fwd[p] = n
         self._misses += 1

@@ -1,11 +1,14 @@
 """Hash-consed de Bruijn lambda terms with memoized normalization.
 
 Terms live in an interning pool, so structurally equal terms share one
-identifier and term equality is identifier comparison.  The four term
-operations (lift, subst, head normal form, normal form) are memoized on
-identifier-based keys; reduction is normal order (leftmost-outermost),
-which is what lets the fixed-point combinator in the quicksort
-benchmark normalize.
+identifier and term equality is identifier comparison.  Each node is
+one flat `(tag, x, y)` tuple: `(VAR_TAG, i, 0)` for the variable `i`,
+`(APP_TAG, f, a)` for an application and `(ABS_TAG, b, 0)` for an
+abstraction, so every operation unpacks `tag, x, y = nodes[t]`.  The
+four term operations (lift, subst, head normal form, normal form) are
+memoized on identifier-based keys; reduction is normal order
+(leftmost-outermost), which is what lets the fixed-point combinator in
+the quicksort benchmark normalize.
 
 Every node also carries its free-variable bound `bound(t)`: the smallest
 `n` such that every free de Bruijn index of `t` is below `n` (0 for a
@@ -31,7 +34,7 @@ import threading
 from dataclasses import asdict
 from typing import Callable, Sequence
 
-from .intern import Payload, Pool
+from .intern import Pool
 from .memo import DepthExceededError, MemoTable, memo_fix, table_stats
 
 VAR_TAG = 0
@@ -109,9 +112,10 @@ class LambdaManager:
     step guard bounds beta reductions per top-level hnf/nf call and
     trips DepthExceededError on non-normalizing input.
 
-    The pool is grown only through `mk_var`/`mk_app`/`mk_abs`, which
-    keep `_bound` (the free-variable bound, indexed by id) in step with
-    it.
+    The pool is grown only through `mk_var` and the unchecked
+    `_app`/`_abs` (which `mk_app`/`mk_abs` call once they have checked
+    their children); they keep `_bound` (the free-variable bound,
+    indexed by id) in step with it.
     """
 
     def __init__(self, *, memo_enabled: bool = True,
@@ -125,38 +129,31 @@ class LambdaManager:
         self.m_hnf = MemoTable()
         self.m_nf = MemoTable()
         self._steps = 0
-        self._active = 0
         self._build_fixers()
 
     # -- constructors ----------------------------------------------------
     #
     # The pool issues ids 0, 1, 2, ... in order, so `uid == len(_bound)`
-    # holds exactly when intern allocated a fresh node; intern has
-    # validated the children by then.
+    # holds exactly when intern allocated a fresh node.  Public
+    # `mk_app`/`mk_abs` check their children; the operations build
+    # nodes from ids the pool issued through the unchecked `_app`/`_abs`.
 
     def mk_var(self, i: int) -> int:
         if i < 0:
             raise LambdaError(f"negative de Bruijn index {i}")
-        uid = self.pool.intern(Payload(tag=VAR_TAG, attrs=(i,)))
+        uid = self.pool.intern((VAR_TAG, i, 0))
         if uid == len(self._bound):
             self._bound.append(i + 1)
         return uid
 
     def mk_app(self, f: int, a: int) -> int:
-        uid = self.pool.intern(Payload(tag=APP_TAG, children=(f, a)))
-        bound = self._bound
-        if uid == len(bound):
-            bf, ba = bound[f], bound[a]
-            bound.append(bf if bf > ba else ba)
-        return uid
+        self.pool.resolve(f)
+        self.pool.resolve(a)
+        return self._app(f, a)
 
     def mk_abs(self, b: int) -> int:
-        uid = self.pool.intern(Payload(tag=ABS_TAG, children=(b,)))
-        bound = self._bound
-        if uid == len(bound):
-            bb = bound[b]
-            bound.append(bb - 1 if bb > 0 else 0)
-        return uid
+        self.pool.resolve(b)
+        return self._abs(b)
 
     def bound(self, t: int) -> int:
         """Smallest n such that every free de Bruijn index of t is < n."""
@@ -166,7 +163,7 @@ class LambdaManager:
     # -- operations ------------------------------------------------------
     #
     # Ids are checked once, at the public `lifti`/`lift`/`subst`/`hnf`/
-    # `nf`/`bound`; the bodies below read the payloads of ids the pool
+    # `nf`/`bound`; the bodies below read the nodes of ids the pool
     # issued straight from `pool.back`.  The memoized lifti/subst bodies
     # are entered only for a term whose bound is above the cut; every
     # call on a child re-tests the bound first.  Under an abstraction the
@@ -177,17 +174,35 @@ class LambdaManager:
         mt = (lambda t: t) if self.memo_enabled else (lambda t: None)
         bound = self._bound
         nodes = self.pool.back
+        intern = self.pool.intern
+        mk_var = self.mk_var
+
+        def app(f: int, a: int) -> int:
+            uid = intern((APP_TAG, f, a))
+            if uid == len(bound):
+                bf, ba = bound[f], bound[a]
+                bound.append(bf if bf > ba else ba)
+            return uid
+
+        def abs_(b: int) -> int:
+            uid = intern((ABS_TAG, b, 0))
+            if uid == len(bound):
+                bb = bound[b]
+                bound.append(bb - 1 if bb > 0 else 0)
+            return uid
+
+        self._app = app
+        self._abs = abs_
 
         def lifti_body(recurse, key):
             n, t, k = key
-            p = nodes[t]
-            if p.tag == VAR_TAG:
-                return self.mk_var(p.attrs[0] + n)
-            if p.tag == ABS_TAG:
-                return self.mk_abs(recurse((n, p.children[0], k + 1)))
-            f, a = p.children
-            return self.mk_app(f if bound[f] <= k else recurse((n, f, k)),
-                               a if bound[a] <= k else recurse((n, a, k)))
+            tag, x, y = nodes[t]
+            if tag == VAR_TAG:
+                return mk_var(x + n)
+            if tag == ABS_TAG:
+                return abs_(recurse((n, x, k + 1)))
+            return app(x if bound[x] <= k else recurse((n, x, k)),
+                       y if bound[y] <= k else recurse((n, y, k)))
 
         lifti_fix = memo_fix(lifti_body, mt(self.m_lifti))
 
@@ -196,17 +211,15 @@ class LambdaManager:
 
         def subst_body(recurse, key):
             w, n, t = key
-            p = nodes[t]
-            if p.tag == VAR_TAG:
-                i = p.attrs[0]
-                if i == n:
+            tag, x, y = nodes[t]
+            if tag == VAR_TAG:
+                if x == n:
                     return lifti(n, w, 0)
-                return self.mk_var(i - 1)
-            if p.tag == ABS_TAG:
-                return self.mk_abs(recurse((w, n + 1, p.children[0])))
-            f, a = p.children
-            return self.mk_app(f if bound[f] <= n else recurse((w, n, f)),
-                               a if bound[a] <= n else recurse((w, n, a)))
+                return mk_var(x - 1)
+            if tag == ABS_TAG:
+                return abs_(recurse((w, n + 1, x)))
+            return app(x if bound[x] <= n else recurse((w, n, x)),
+                       y if bound[y] <= n else recurse((w, n, y)))
 
         subst_fix = memo_fix(subst_body, mt(self.m_subst))
 
@@ -226,33 +239,31 @@ class LambdaManager:
 
         def hnf_body(recurse, key):
             (t,) = key
-            p = nodes[t]
-            if p.tag == VAR_TAG:
+            tag, f, u = nodes[t]
+            if tag == VAR_TAG:
                 return t
-            if p.tag == ABS_TAG:
-                return self.mk_abs(recurse((p.children[0],)))
-            f, u = p.children
+            if tag == ABS_TAG:
+                return abs_(recurse((f,)))
             h = recurse((f,))
-            hp = nodes[h]
-            if hp.tag == ABS_TAG:
-                return recurse((beta(u, hp.children[0]),))
-            return self.mk_app(h, u)
+            htag, hb, _ = nodes[h]
+            if htag == ABS_TAG:
+                return recurse((beta(u, hb),))
+            return app(h, u)
 
         self._hnf = memo_fix(hnf_body, mt(self.m_hnf))
 
         def nf_body(recurse, key):
             (t,) = key
-            p = nodes[t]
-            if p.tag == VAR_TAG:
+            tag, f, u = nodes[t]
+            if tag == VAR_TAG:
                 return t
-            if p.tag == ABS_TAG:
-                return self.mk_abs(recurse((p.children[0],)))
-            f, u = p.children
+            if tag == ABS_TAG:
+                return abs_(recurse((f,)))
             h = self._hnf((f,))
-            hp = nodes[h]
-            if hp.tag == ABS_TAG:
-                return recurse((beta(u, hp.children[0]),))
-            return self.mk_app(recurse((h,)), recurse((u,)))
+            htag, hb, _ = nodes[h]
+            if htag == ABS_TAG:
+                return recurse((beta(u, hb),))
+            return app(recurse((h,)), recurse((u,)))
 
         self._nf = memo_fix(nf_body, mt(self.m_nf))
 
@@ -274,13 +285,8 @@ class LambdaManager:
 
     def _guarded(self, fix, t: int) -> int:
         self.pool.resolve(t)
-        if self._active == 0:
-            self._steps = 0
-        self._active += 1
-        try:
-            return fix((t,))
-        finally:
-            self._active -= 1
+        self._steps = 0
+        return fix((t,))
 
     def hnf(self, t: int) -> int:
         """Head normal form under normal-order reduction."""
@@ -383,13 +389,12 @@ class PlainNormalizer:
 
 def to_plain(mgr: LambdaManager, t: int) -> PlainTerm:
     """Unfold a pooled term into the unshared tuple representation."""
-    p = mgr.pool.resolve(t)
-    if p.tag == VAR_TAG:
-        return ("var", p.attrs[0])
-    if p.tag == ABS_TAG:
-        return ("abs", to_plain(mgr, p.children[0]))
-    return ("app", to_plain(mgr, p.children[0]),
-            to_plain(mgr, p.children[1]))
+    tag, x, y = mgr.pool.resolve(t)
+    if tag == VAR_TAG:
+        return ("var", x)
+    if tag == ABS_TAG:
+        return ("abs", to_plain(mgr, x))
+    return ("app", to_plain(mgr, x), to_plain(mgr, y))
 
 
 def from_plain(mgr: LambdaManager, t: PlainTerm) -> int:
@@ -470,58 +475,50 @@ def church_mul(mgr: LambdaManager, a: int, b: int) -> int:
     return mgr.mk_app(mgr.mk_app(times, a), b)
 
 
+def _under_two_abs(mgr: LambdaManager, t: int, what: str) -> int:
+    """The body `b` of `lam. lam. b`, the shape of numerals and lists."""
+    for _ in range(2):
+        tag, t, _ = mgr.pool.resolve(t)
+        if tag != ABS_TAG:
+            raise ShapeError(f"{what} must start with two abstractions")
+    return t
+
+
 def decode_church(mgr: LambdaManager, t: int) -> int:
     """Inverse of `church` on normal-form numerals."""
-    p = mgr.pool.resolve(t)
-    if p.tag != ABS_TAG:
-        raise ShapeError("numeral must start with two abstractions")
-    p = mgr.pool.resolve(p.children[0])
-    if p.tag != ABS_TAG:
-        raise ShapeError("numeral must start with two abstractions")
-    body = p.children[0]
+    body = _under_two_abs(mgr, t, "numeral")
     count = 0
     while True:
-        q = mgr.pool.resolve(body)
-        if q.tag == VAR_TAG:
-            if q.attrs[0] != 0:
+        tag, x, y = mgr.pool.resolve(body)
+        if tag == VAR_TAG:
+            if x != 0:
                 raise ShapeError("numeral body must end at the bound var")
             return count
-        if q.tag == APP_TAG:
-            head = mgr.pool.resolve(q.children[0])
-            if head.tag != VAR_TAG or head.attrs[0] != 1:
-                raise ShapeError("numeral body must iterate the function var")
-            count += 1
-            body = q.children[1]
-        else:
+        if tag != APP_TAG:
             raise ShapeError("unexpected abstraction inside numeral body")
+        if mgr.pool.resolve(x) != (VAR_TAG, 1, 0):
+            raise ShapeError("numeral body must iterate the function var")
+        count += 1
+        body = y
 
 
 def decode_list(mgr: LambdaManager, t: int) -> list[int]:
     """Inverse of `church_list` on normal-form lists of numerals."""
-    p = mgr.pool.resolve(t)
-    if p.tag != ABS_TAG:
-        raise ShapeError("list must start with two abstractions")
-    p = mgr.pool.resolve(p.children[0])
-    if p.tag != ABS_TAG:
-        raise ShapeError("list must start with two abstractions")
-    body = p.children[0]
+    body = _under_two_abs(mgr, t, "list")
     out: list[int] = []
     while True:
-        q = mgr.pool.resolve(body)
-        if q.tag == VAR_TAG:
-            if q.attrs[0] != 0:
+        tag, x, y = mgr.pool.resolve(body)
+        if tag == VAR_TAG:
+            if x != 0:
                 raise ShapeError("list body must end at the nil var")
             return out
-        if q.tag != APP_TAG:
+        if tag != APP_TAG:
             raise ShapeError("unexpected abstraction inside list body")
-        inner = mgr.pool.resolve(q.children[0])
-        if inner.tag != APP_TAG:
+        tag, cons, head = mgr.pool.resolve(x)
+        if tag != APP_TAG or mgr.pool.resolve(cons) != (VAR_TAG, 1, 0):
             raise ShapeError("list body must apply the cons var")
-        head = mgr.pool.resolve(inner.children[0])
-        if head.tag != VAR_TAG or head.attrs[0] != 1:
-            raise ShapeError("list body must apply the cons var")
-        out.append(decode_church(mgr, inner.children[1]))
-        body = q.children[1]
+        out.append(decode_church(mgr, head))
+        body = y
 
 
 # -- quicksort over Church-encoded lists -----------------------------------

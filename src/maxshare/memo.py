@@ -33,12 +33,8 @@ class DepthExceededError(MemoError):
 _ABSENT = object()
 
 
-def _rebound(key: MemoKey, old: Any, value: Any) -> MemoContractError:
-    return MemoContractError(f"key {key!r} rebound: {old!r} -> {value!r}")
-
-
 class MemoTable:
-    """Memo table with hit/miss counters.
+    """Memo table with hit/miss counters, filled and read by `memo_fix`.
 
     For tables backing commutative binary operations, pass
     `commutative=True`: keys (a, b) are normalized to (min, max), which
@@ -52,34 +48,8 @@ class MemoTable:
         self.misses = 0
         self.body_evaluations = 0
 
-    def _norm(self, key: MemoKey) -> MemoKey:
-        if self.commutative and key[0] > key[1]:
-            return (key[1], key[0])
-        return key
-
-    def get(self, key: MemoKey) -> Any:
-        """Stored value for `key`, or the module-private absent marker.
-        Use `found(result)` to test presence."""
-        v = self._entries.get(self._norm(key), _ABSENT)
-        if v is _ABSENT:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return v
-
-    def put(self, key: MemoKey, value: Any) -> None:
-        k = self._norm(key)
-        old = self._entries.setdefault(k, value)
-        if old != value:
-            raise _rebound(k, old, value)
-
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def found(result: Any) -> bool:
-    """True iff a MemoTable.get result is an actual stored value."""
-    return result is not _ABSENT
 
 
 def table_stats(tables: Mapping[str, MemoTable]) -> dict[str, dict[str, int]]:
@@ -106,9 +76,8 @@ def memo_fix(
             return body(recurse, key)
         return recurse
 
-    # `get` and `put` inlined, to one dict probe per call: keep the key
-    # normalisation, the counters and the rebinding check in step with
-    # them.  `body` still receives the caller's key.
+    # One dict probe per call.  `body` receives the caller's key, not
+    # the normalised one.
     entries = table._entries
     commutative = table.commutative
 
@@ -123,7 +92,7 @@ def memo_fix(
         table.body_evaluations += 1
         old = entries.setdefault(k, value)
         if old != value:
-            raise _rebound(k, old, value)
+            raise MemoContractError(f"key {k!r} rebound: {old!r} -> {value!r}")
         return value
 
     return recurse

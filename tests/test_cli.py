@@ -180,9 +180,13 @@ def test_lambda_sort_malformed_list(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("index, code", [(4294967296, 2), (4294967295, 0)])
+@pytest.mark.parametrize("index, code", [(4294967296, 2), (4294967295, 0),
+                                         pytest.param("9" * 5000, 2,
+                                                      id="5000-digits"),
+                                         ("0001", 0)])
 def test_taut_variable_index_limit(tmp_path, capsys, index, code):
-    # indices at or above bdd.LEAF_VAR (2**32) are a range error, exit 2
+    # indices at or above bdd.LEAF_VAR (2**32) are a range error, exit 2,
+    # also past Python's int-string digit limit
     path = tmp_path / "huge.bf"
     path.write_text(f"x{index} | !x{index}\n")
     got, out, err = run_cli(capsys, "taut", "--file", str(path))
@@ -191,3 +195,11 @@ def test_taut_variable_index_limit(tmp_path, capsys, index, code):
         assert "out of range" in err
     else:
         assert json.loads(out)["result"] is True
+
+
+def test_taut_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.bf"
+    path.write_bytes(b"x1 | \xff\n")
+    code, out, err = run_cli(capsys, "taut", "--file", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "UTF-8" in err

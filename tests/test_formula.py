@@ -52,6 +52,8 @@ def test_parse_iff_right_assoc():
 def test_parse_x0_is_range_error():
     with pytest.raises(RangeError):
         parse("x0")
+    with pytest.raises(RangeError):
+        parse("x000")
 
 
 def test_variable_index_at_leaf_var_is_range_error():
@@ -60,6 +62,12 @@ def test_variable_index_at_leaf_var_is_range_error():
     with pytest.raises(RangeError):
         compile(BddManager(), Var(LEAF_VAR))
     assert parse(f"x{LEAF_VAR - 1}") == Var(LEAF_VAR - 1)
+    # leading zeros do not count; an index past Python's int-string
+    # digit limit (4,300 digits) is a range error too, not a ValueError
+    assert parse(f"x000{LEAF_VAR - 1}") == Var(LEAF_VAR - 1)
+    assert parse("x0001") == Var(1)
+    with pytest.raises(RangeError):
+        parse("x" + "9" * 5000)
 
 
 def test_parse_precedence():
@@ -79,6 +87,8 @@ def test_parse_comments_and_syntax_errors():
         parse("x1 x2")
     with pytest.raises(ParseError):
         parse("")
+    with pytest.raises(ParseError):  # a digit int() cannot read
+        parse("x\u00b2")
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,17 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from maxshare.intern import (
-    InvalidChildError,
-    Payload,
-    Pool,
-    UnknownIdError,
-    hash_payload,
-)
+from maxshare.intern import Pool, UnknownIdError
 
 
 def leaf(attr):
-    return Payload(tag=0, attrs=(attr,))
+    return (0, attr, 0)
 
 
 def test_intern_twice_returns_same_id():
@@ -40,7 +34,7 @@ def test_preallocated_ids_come_first():
 
 def test_resolve_round_trip():
     pool = Pool()
-    p = Payload(tag=1, attrs=(3,), children=())
+    p = (1, 3, 0)
     assert pool.resolve(pool.intern(p)) == p
 
 
@@ -54,35 +48,6 @@ def test_resolve_out_of_range():
     pool.intern(leaf(1))
     with pytest.raises(UnknownIdError):
         pool.resolve(pool.next)
-
-
-def test_invalid_child_rejected():
-    pool = Pool()
-    a = pool.intern(leaf(1))
-    with pytest.raises(InvalidChildError):
-        pool.intern(Payload(tag=1, children=(a + 5,)))
-
-
-def test_hash_deterministic():
-    p = Payload(tag=1, attrs=(3,), children=(0, 1))
-    assert hash_payload(p) == hash_payload(p)
-    assert 0 <= hash_payload(p) < 2**64
-
-
-def test_hash_collision_rate():
-    rng = random.Random(42)
-    seen = set()
-    hashes = set()
-    n = 10**5
-    while len(seen) < n:
-        p = Payload(tag=rng.randint(0, 3),
-                    attrs=(rng.randint(0, 10**9),),
-                    children=())
-        if p not in seen:
-            seen.add(p)
-            hashes.add(hash_payload(p))
-    collisions = n - len(hashes)
-    assert collisions / n < 0.01
 
 
 def test_scan_duplicates_empty_after_interning():
@@ -105,24 +70,18 @@ def test_scan_duplicates_empty_pool():
     assert Pool().scan_duplicates() == []
 
 
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 50)),
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 50),
+                          st.integers(0, 50)),
                 max_size=60))
 def test_pool_invariants(specs):
     pool = Pool(preallocated=[leaf(0), leaf(1)])
-    issued = [0, 1]
-    for tag, attr in specs:
-        # children sampled deterministically from ids issued so far
-        kids = tuple(issued[(attr + i) % len(issued)] for i in range(tag % 3))
-        uid = pool.intern(Payload(tag=tag, attrs=(attr,), children=kids))
-        issued.append(uid)
+    for p in specs:
+        uid = pool.intern(p)
         assert uid < pool.next
     # bijection: resolve inverts intern for every issued id
     for uid in range(pool.next):
         p = pool.resolve(uid)
         assert pool.intern(p) == uid
-    # acyclicity: children strictly smaller than the parent
-    for uid in range(pool.next):
-        assert all(c < uid for c in pool.resolve(uid).children)
     assert pool.scan_duplicates() == []
 
 
@@ -130,6 +89,6 @@ def test_pool_invariants(specs):
        st.tuples(st.integers(0, 3), st.integers(0, 5)))
 def test_identifier_equality_decides_structural_equality(a, b):
     pool = Pool()
-    pa = Payload(tag=a[0], attrs=(a[1],))
-    pb = Payload(tag=b[0], attrs=(b[1],))
+    pa = (a[0], a[1], 0)
+    pb = (b[0], b[1], 0)
     assert (pool.intern(pa) == pool.intern(pb)) == (pa == pb)

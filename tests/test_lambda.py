@@ -8,6 +8,9 @@ from hypothesis import given, settings
 
 from maxshare.intern import UnknownIdError
 from maxshare.lam import (
+    ABS_TAG,
+    APP_TAG,
+    VAR_TAG,
     LambdaManager,
     PlainNormalizer,
     ShapeError,
@@ -77,6 +80,19 @@ def test_mk_abs_shares(mgr):
 def test_mk_app_distinguishes_arguments(mgr):
     f = mgr.mk_abs(mgr.mk_var(0))
     assert mgr.mk_app(f, mgr.mk_var(1)) != mgr.mk_app(f, mgr.mk_var(2))
+
+
+def test_invalid_child_rejected(mgr):
+    # mk_app/mk_abs check their children at the public boundary
+    a = mgr.mk_var(0)
+    for bad in (-1, len(mgr.pool)):
+        with pytest.raises(UnknownIdError):
+            mgr.mk_app(a, bad)
+        with pytest.raises(UnknownIdError):
+            mgr.mk_app(bad, a)
+        with pytest.raises(UnknownIdError):
+            mgr.mk_abs(bad)
+    assert len(mgr.pool) == 1
 
 
 def test_no_duplicates_after_many_terms(mgr):
@@ -152,6 +168,21 @@ def test_bound_matches_free_indices(plain):
     t = from_plain(m, plain)
     free = free_indices(to_plain(m, t))
     assert m.bound(t) == (max(free) + 1 if free else 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plain_terms(), plain_terms(), st.integers(0, 4))
+def test_children_precede_parents(pw, pt, n):
+    # acyclicity: every node's child ids are below its own id, for the
+    # nodes the constructors and the subst/lifti bodies build
+    m = LambdaManager()
+    w, t = from_plain(m, pw), from_plain(m, pt)
+    m.subst(w, n, t)
+    m.lifti(n, t, 0)
+    for uid, (tag, x, y) in enumerate(m.pool.back):
+        children = {VAR_TAG: (), ABS_TAG: (x,), APP_TAG: (x, y)}[tag]
+        assert all(0 <= c < uid for c in children)
+    assert m.pool.scan_duplicates() == []
 
 
 @pytest.mark.parametrize("memo", [True, False])
