@@ -49,8 +49,8 @@ class UnboundVariableError(BddError):
 
 
 class BddNode(NamedTuple):
-    low: int
     var: int
+    low: int
     high: int
 
 
@@ -76,10 +76,10 @@ class BddManager:
         return a == FALSE or a == TRUE
 
     def node(self, a: int) -> BddNode:
-        v, low, high = self.pool.resolve(a)
+        stored = self.pool.resolve(a)
         if a <= TRUE:
             raise BddError(f"id {a} is a leaf, not a decision node")
-        return BddNode(low=low, var=v, high=high)
+        return BddNode._make(stored)
 
     def head_var(self, a: int) -> int:
         return self.pool.resolve(a)[0]

@@ -4,14 +4,16 @@ Subcommands:
 
     taut         check a formula (file or generated benchmark) for
                  tautology; exit 0 iff tautology, 1 iff not, 2 on error
-                 (a formula nested too deeply for the recursive parser
-                 or engine included)
+                 (a formula nested deeper than the engine's recursion
+                 limit included; the parser has no nesting limit)
     bench        run a benchmark suite over sizes 1..N, one record per
                  size, printed as the size finishes; exit 3 if any size
                  is not a tautology, 2 on error (the `error:` line names
                  the size)
     lambda-sort  sort a comma-separated list of naturals through the
-                 lambda-calculus quicksort; exit 3 on decode failure
+                 lambda-calculus quicksort; exit 3 on decode failure,
+                 2 on error (`lam.STEP_GUARD` beta steps exceeded
+                 included)
 
 Reports go to stdout as JSON (schema 1), diagnostics to stderr.
 """
@@ -62,27 +64,26 @@ def _taut_formula(args) -> tuple[str, fm.Formula]:
         return f"taut --file {args.file}", fm.parse(fh.read())
 
 
-def _check_size(size: int, suite: str) -> RunReport:
-    f = fm.urquhart(size) if suite == "urquhart" else fm.pigeonhole(size)
+def _check(command: str, f: fm.Formula) -> RunReport:
+    """Compile `f` in a fresh manager and report the verdict."""
     mgr = BddManager()
     t0 = time.perf_counter()
     ref = fm.compile(mgr, f)
     taut = mgr.is_tautology(ref)
     ms = (time.perf_counter() - t0) * 1000.0
     return RunReport(
-        command=f"bench {suite} --size {size}",
+        command=command,
         result=taut,
         node_count=mgr.node_count(ref),
         wall_time_ms=ms,
-        extra={"size": size},
         **mgr.stats(),
     )
 
 
-def _too_deep(action: str, where: str = "") -> int:
-    """Exit status 2 for input nested deeper than the recursive parser
-    and engine can follow."""
-    print(f"error: {where}formula nested too deeply to {action}: its "
+def _too_deep(where: str = "") -> int:
+    """Exit status 2 for a formula nested deeper than the recursive
+    compiler and engine can follow."""
+    print(f"error: {where}formula nested too deeply to compile: its "
           f"nesting depth exceeds the recursion limit of "
           f"{sys.getrecursionlimit()} frames", file=sys.stderr)
     return 2
@@ -90,48 +91,32 @@ def _too_deep(action: str, where: str = "") -> int:
 
 def cmd_taut(args) -> int:
     try:
-        command, f = _taut_formula(args)
-    except (fm.FormulaError, OSError) as exc:
+        report = _check(*_taut_formula(args))
+    except (fm.FormulaError, MemoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:
         print(f"error: {args.file}: not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        return _too_deep("parse")
-    mgr = BddManager()
-    t0 = time.perf_counter()
-    try:
-        ref = fm.compile(mgr, f)
-    except (fm.FormulaError, MemoError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        return _too_deep("compile")
-    taut = mgr.is_tautology(ref)
-    ms = (time.perf_counter() - t0) * 1000.0
-    report = RunReport(
-        command=command,
-        result=taut,
-        node_count=mgr.node_count(ref),
-        wall_time_ms=ms,
-        **mgr.stats(),
-    )
+        return _too_deep()
     print(report.to_json())
-    return 0 if taut else 1
+    return 0 if report.result else 1
 
 
 def cmd_bench(args) -> int:
+    generate = fm.urquhart if args.suite == "urquhart" else fm.pigeonhole
     all_taut = True
     for size in range(1, args.max + 1):
         where = f"{args.suite}({size}): "
         try:
-            r = _check_size(size, args.suite)
+            r = _check(f"bench {args.suite} --size {size}", generate(size))
         except (fm.FormulaError, MemoError) as exc:
             print(f"error: {where}{exc}", file=sys.stderr)
             return 2
         except RecursionError:
-            return _too_deep("compile", where)
+            return _too_deep(where)
+        r.extra["size"] = size
         if args.json:
             print(r.to_json(), flush=True)
         else:
@@ -188,9 +173,12 @@ def cmd_lambda_sort(args) -> int:
                          "allocations": mgr.pool.stats().intern_misses}
             return lam.decode_list(mgr, out), extra
         sorted_values, extra = lam.run_deep(run)
-    except (lam.ShapeError, DepthExceededError) as exc:
+    except lam.ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except DepthExceededError as exc:  # the step guard, an engine bound
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ms = (time.perf_counter() - t0) * 1000.0
     print(",".join(str(v) for v in sorted_values))
     stats = mgr.stats()

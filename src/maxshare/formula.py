@@ -2,23 +2,22 @@
 compilation, and the two benchmark families (Urquhart chains and the
 pigeonhole principle).
 
-Text grammar, operators by increasing binding strength:
+Text grammar; the `_OPERATORS` table, which `parse` and
+`print_formula` both read, holds each operator's symbol, binding level
+and associativity:
 
-    <->  iff        (right-associative)
-    ->   implies    (right-associative)
-    |    or
-    ^    xor
-    &    and
-    !    not        (prefix)
+    formula := "0" | "1" | "x" digits | "(" formula ")"
+             | "!" formula | formula BINOP formula
 
-Variables are `x<digits>` with 1-based indices below `bdd.LEAF_VAR`
-(2**32), leading zeros ignored; constants are `0` and `1`; `#` starts
-a line comment.
+Variable indices are 1-based and below `bdd.LEAF_VAR` (2**32), leading
+zeros ignored; blanks are space, tab, carriage return and newline; `#`
+starts a line comment.  `parse` has no nesting limit.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
@@ -94,192 +93,137 @@ class Iff:
 Formula = Union[Const, Var, Not, And, Or, Xor, Implies, Iff]
 
 
-# -- parsing ---------------------------------------------------------------
+# -- syntax ----------------------------------------------------------------
 
-_BINOPS = {"<->": Iff, "->": Implies, "|": Or, "^": Xor, "&": And}
+# symbol: (AST class, binding level, right-associative); a higher level
+# binds tighter.  The one place where the operator syntax is written.
+_OPERATORS = {
+    "<->": (Iff, 1, True),
+    "->": (Implies, 2, True),
+    "|": (Or, 3, False),
+    "^": (Xor, 4, False),
+    "&": (And, 5, False),
+    "!": (Not, 6, True),
+}
+_SYNTAX = {cls: (symbol, level, right)
+           for symbol, (cls, level, right) in _OPERATORS.items()}
+_CONSTS = {"0": Const(False), "1": Const(True)}
+_OPEN = (None, 0, False)  # "(" on the operator stack: below every level
 
-
-def _tokenize(text: str) -> Iterator[tuple[str, str, int, int]]:
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif text.startswith("<->", i):
-            yield ("op", "<->", line, col)
-            i += 3
-            col += 3
-        elif text.startswith("->", i):
-            yield ("op", "->", line, col)
-            i += 2
-            col += 2
-        elif c in "|^&!()":
-            yield ("op", c, line, col)
-            i += 1
-            col += 1
-        elif c in "01" and not (i + 1 < n and text[i + 1].isdecimal()):
-            yield ("const", c, line, col)
-            i += 1
-            col += 1
-        elif c == "x" and i + 1 < n and text[i + 1].isdecimal():
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            yield ("var", text[i:j], line, col)
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    yield ("eof", "", line, col)
+# One match per token, blanks and comments before it skipped: group 1
+# an operator, parenthesis or constant, group 2 a variable, group 3 a
+# character outside the syntax, group 4 the (empty) end of the text.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]|#[^\n]*)*(?:("
+    + "|".join(re.escape(op) for op in sorted(_OPERATORS, key=len,
+                                               reverse=True))
+    + r"|[()]|[01](?!\d))|(x\d+)|(.)|(\Z))", re.DOTALL)
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
+def _where(text: str, m: re.Match) -> tuple[int, int]:
+    """Line and column where the token `m` starts."""
+    pos = m.start(m.lastindex)
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.tokens[self.pos]
 
-    def take(self) -> tuple[str, str, int, int]:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def expect_op(self, op: str) -> None:
-        kind, val, line, col = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, got {val or 'end of input'!r}",
-                             line, col)
-
-    def formula(self) -> Formula:
-        return self.iff()
-
-    def iff(self) -> Formula:
-        left = self.implies()
-        kind, val, _, _ = self.peek()
-        if kind == "op" and val == "<->":
-            self.take()
-            return Iff(left, self.iff())
-        return left
-
-    def implies(self) -> Formula:
-        left = self.disj()
-        kind, val, _, _ = self.peek()
-        if kind == "op" and val == "->":
-            self.take()
-            return Implies(left, self.implies())
-        return left
-
-    def _left_chain(self, op: str, cls, sub) -> Formula:
-        acc = sub()
-        while True:
-            kind, val, _, _ = self.peek()
-            if kind == "op" and val == op:
-                self.take()
-                acc = cls(acc, sub())
-            else:
-                return acc
-
-    def disj(self) -> Formula:
-        return self._left_chain("|", Or, self.xor)
-
-    def xor(self) -> Formula:
-        return self._left_chain("^", Xor, self.conj)
-
-    def conj(self) -> Formula:
-        return self._left_chain("&", And, self.neg)
-
-    def neg(self) -> Formula:
-        kind, val, _, _ = self.peek()
-        if kind == "op" and val == "!":
-            self.take()
-            return Not(self.neg())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, val, line, col = self.take()
-        if kind == "const":
-            return Const(val == "1")
-        if kind == "var":
-            digits = val[1:].lstrip("0")
-            if not digits:
-                raise RangeError("variable indices are 1-based; x0 is invalid")
-            # A longer index cannot be below LEAF_VAR; int() would also
-            # reject one past Python's int-string digit limit.
-            if len(digits) > len(str(LEAF_VAR)) or int(digits) >= LEAF_VAR:
-                shown = digits if len(digits) <= 20 else (
-                    f"{digits[:20]}... ({len(digits)} digits)")
-                raise RangeError(f"{line}:{col}: variable index {shown} "
-                                 f"out of range (must be below {LEAF_VAR})")
-            return Var(int(digits))
-        if kind == "op" and val == "(":
-            f = self.formula()
-            self.expect_op(")")
-            return f
-        raise ParseError(f"expected formula, got {val or 'end of input'!r}",
-                         line, col)
+def _variable(text: str, m: re.Match) -> Var:
+    digits = m[2][1:].lstrip("0")
+    if not digits:
+        raise RangeError("variable indices are 1-based; x0 is invalid")
+    # A longer index cannot be below LEAF_VAR; int() would also reject
+    # one past Python's int-string digit limit.
+    if len(digits) > len(str(LEAF_VAR)) or int(digits) >= LEAF_VAR:
+        shown = digits if len(digits) <= 20 else (
+            f"{digits[:20]}... ({len(digits)} digits)")
+        line, col = _where(text, m)
+        raise RangeError(f"{line}:{col}: variable index {shown} "
+                         f"out of range (must be below {LEAF_VAR})")
+    return Var(int(digits))
 
 
 def parse(text: str) -> Formula:
-    p = _Parser(text)
-    f = p.formula()
-    kind, val, line, col = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {val!r}", line, col)
-    return f
+    """Operator-precedence parse with explicit operand and operator
+    stacks: prefix `!` and `(` wait on the operator stack, and an
+    operator first reduces every stacked one that binds at least as
+    tightly (strictly tighter, if it is right-associative).  Errors
+    are reported at the first offending token in reading order."""
+    out: list[Formula] = []
+    ops: list[tuple] = []
+    depth = 0              # "(" on the operator stack
+    operand = True         # an operand is expected next
 
+    def reduce() -> None:
+        cls = ops.pop()[0]
+        if cls is Not:
+            out[-1] = Not(out[-1])
+        else:
+            right = out.pop()
+            out[-1] = cls(out[-1], right)
 
-# -- printing --------------------------------------------------------------
-
-# Binding levels; higher binds tighter.  Used to insert the minimal
-# parentheses so that parse(print_formula(f)) == f.
-_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_XOR, _LEVEL_AND, _LEVEL_NOT = \
-    range(1, 7)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        tok = m[kind]
+        if kind == 3:
+            raise ParseError(f"unexpected character {tok!r}",
+                             *_where(text, m))
+        if operand:
+            if kind == 2:
+                out.append(_variable(text, m))
+                operand = False
+            elif tok in _CONSTS:
+                out.append(_CONSTS[tok])
+                operand = False
+            elif tok == "(":
+                ops.append(_OPEN)
+                depth += 1
+            elif tok == "!":
+                ops.append(_OPERATORS[tok])
+            else:
+                raise ParseError("expected formula, got "
+                                 f"{tok or 'end of input'!r}",
+                                 *_where(text, m))
+        elif tok in _OPERATORS and tok != "!":
+            cls, level, right = entry = _OPERATORS[tok]
+            stop = level + 1 if right else level
+            while ops and ops[-1][1] >= stop:
+                reduce()
+            ops.append(entry)
+            operand = True
+        elif tok == ")" and depth:
+            while ops[-1] is not _OPEN:
+                reduce()
+            ops.pop()
+            depth -= 1
+        elif depth:
+            raise ParseError(f"expected ')', got {tok or 'end of input'!r}",
+                             *_where(text, m))
+        elif tok:
+            raise ParseError(f"trailing input {tok!r}", *_where(text, m))
+        else:
+            while ops:
+                reduce()
+            return out[0]
+    raise AssertionError("the scanner ends with an end-of-text match")
 
 
 def print_formula(f: Formula) -> str:
-    def wrap(g: Formula, minimum: int) -> str:
-        s, level = go(g)
+    """Text that `parse` reads back as `f`, with the fewest parentheses."""
+    def go(g: Formula, minimum: int) -> str:
+        if isinstance(g, Const):
+            return "1" if g.value else "0"
+        if isinstance(g, Var):
+            return f"x{g.index}"
+        if type(g) not in _SYNTAX:
+            raise FormulaError(f"not a formula: {g!r}")
+        symbol, level, right = _SYNTAX[type(g)]
+        if isinstance(g, Not):
+            s = symbol + go(g.operand, level)
+        else:  # an equal level needs no parentheses on the assoc. side
+            lmin, rmin = (level + 1, level) if right else (level, level + 1)
+            s = f"{go(g.left, lmin)} {symbol} {go(g.right, rmin)}"
         return f"({s})" if level < minimum else s
 
-    def binary(g, symbol: str, level: int, right_assoc: bool):
-        if right_assoc:
-            s = f"{wrap(g.left, level + 1)} {symbol} {wrap(g.right, level)}"
-        else:
-            s = f"{wrap(g.left, level)} {symbol} {wrap(g.right, level + 1)}"
-        return s, level
-
-    def go(g: Formula) -> tuple[str, int]:
-        if isinstance(g, Const):
-            return ("1" if g.value else "0", _LEVEL_NOT + 1)
-        if isinstance(g, Var):
-            return (f"x{g.index}", _LEVEL_NOT + 1)
-        if isinstance(g, Not):
-            return (f"!{wrap(g.operand, _LEVEL_NOT)}", _LEVEL_NOT)
-        if isinstance(g, And):
-            return binary(g, "&", _LEVEL_AND, right_assoc=False)
-        if isinstance(g, Or):
-            return binary(g, "|", _LEVEL_OR, right_assoc=False)
-        if isinstance(g, Xor):
-            return binary(g, "^", _LEVEL_XOR, right_assoc=False)
-        if isinstance(g, Implies):
-            return binary(g, "->", _LEVEL_IMP, right_assoc=True)
-        if isinstance(g, Iff):
-            return binary(g, "<->", _LEVEL_IFF, right_assoc=True)
-        raise FormulaError(f"not a formula: {g!r}")
-
-    return go(f)[0]
+    return go(f, 0)
 
 
 # -- semantics -------------------------------------------------------------
@@ -390,17 +334,11 @@ def urquhart(n: int) -> Formula:
     return acc
 
 
-def _fold_or(fs: list[Formula]) -> Formula:
+def _fold(cls, fs: list[Formula]) -> Formula:
+    """`fs` joined by the binary `cls`, nested to the right."""
     acc = fs[-1]
     for g in reversed(fs[:-1]):
-        acc = Or(g, acc)
-    return acc
-
-
-def _fold_and(fs: list[Formula]) -> Formula:
-    acc = fs[-1]
-    for g in reversed(fs[:-1]):
-        acc = And(g, acc)
+        acc = cls(g, acc)
     return acc
 
 
@@ -417,14 +355,10 @@ def pigeonhole(n: int) -> Formula:
     def p(i: int, j: int) -> Formula:
         return Var((i - 1) * n + j)
 
-    placed = _fold_and(
-        [_fold_or([p(i, j) for j in range(1, n + 1)])
-         for i in range(1, n + 2)]
-    )
-    collide = _fold_or(
-        [And(p(i, j), p(k, j))
-         for j in range(1, n + 1)
-         for i in range(1, n + 2)
-         for k in range(i + 1, n + 2)]
-    )
+    placed = _fold(And, [_fold(Or, [p(i, j) for j in range(1, n + 1)])
+                         for i in range(1, n + 2)])
+    collide = _fold(Or, [And(p(i, j), p(k, j))
+                         for j in range(1, n + 1)
+                         for i in range(1, n + 2)
+                         for k in range(i + 1, n + 2)])
     return Implies(placed, collide)

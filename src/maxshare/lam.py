@@ -41,7 +41,7 @@ VAR_TAG = 0
 APP_TAG = 1
 ABS_TAG = 2
 
-DEFAULT_STEP_GUARD = 10_000_000
+STEP_GUARD = 10_000_000  # beta steps per hnf/nf call; read at each step
 
 DEEP_STACK_BYTES = 1 << 29
 DEEP_RECURSION_LIMIT = 3_000_000
@@ -108,9 +108,10 @@ class LambdaManager:
     """Term pool plus the memo tables for lift/subst/hnf/nf.
 
     Single-writer.  `memo_enabled` is fixed at construction; build a
-    second manager to compare memoized against unmemoized runs.  The
-    step guard bounds beta reductions per top-level hnf/nf call and
-    trips DepthExceededError on non-normalizing input.
+    second manager to compare memoized against unmemoized runs.
+    `STEP_GUARD` bounds beta reductions per top-level hnf/nf call (per
+    `PlainNormalizer`, over its life) and trips DepthExceededError on
+    non-normalizing input.
 
     The pool is grown only through `mk_var` and the unchecked
     `_app`/`_abs` (which `mk_app`/`mk_abs` call once they have checked
@@ -118,12 +119,10 @@ class LambdaManager:
     indexed by id) in step with it.
     """
 
-    def __init__(self, *, memo_enabled: bool = True,
-                 step_guard: int = DEFAULT_STEP_GUARD) -> None:
+    def __init__(self, *, memo_enabled: bool = True) -> None:
         self.pool = Pool()
         self._bound: list[int] = []
         self.memo_enabled = memo_enabled
-        self.step_guard = step_guard
         self.m_lifti = MemoTable()
         self.m_subst = MemoTable()
         self.m_hnf = MemoTable()
@@ -231,9 +230,9 @@ class LambdaManager:
 
         def beta(u: int, w: int) -> int:
             self._steps += 1
-            if self._steps > self.step_guard:
+            if self._steps > STEP_GUARD:
                 raise DepthExceededError(
-                    f"exceeded {self.step_guard} reduction steps"
+                    f"exceeded {STEP_GUARD} reduction steps"
                 )
             return subst(u, 0, w)
 
@@ -322,10 +321,9 @@ PlainTerm = tuple
 
 
 class PlainNormalizer:
-    def __init__(self, *, step_guard: int = DEFAULT_STEP_GUARD) -> None:
+    def __init__(self) -> None:
         self.allocations = 0
         self.reduction_steps = 0
-        self.step_guard = step_guard
 
     def var(self, i: int) -> PlainTerm:
         self.allocations += 1
@@ -360,9 +358,9 @@ class PlainNormalizer:
 
     def _beta(self, u: PlainTerm, w: PlainTerm) -> PlainTerm:
         self.reduction_steps += 1
-        if self.reduction_steps > self.step_guard:
+        if self.reduction_steps > STEP_GUARD:
             raise DepthExceededError(
-                f"exceeded {self.step_guard} reduction steps"
+                f"exceeded {STEP_GUARD} reduction steps"
             )
         return self.subst(u, 0, w)
 

@@ -55,6 +55,13 @@ def test_single_node_function():
     assert mgr.node_count(n) == 1
 
 
+def test_node_fields_in_stored_order():
+    mgr = BddManager()
+    x = mgr.mk_node(FALSE, 3, TRUE)
+    assert mgr.node(x) == mgr.pool.back[x] == (3, FALSE, TRUE)
+    assert mgr.node(x).var == 3 and mgr.node(x).low == FALSE
+
+
 def test_mk_node_rejects_bad_order():
     mgr = BddManager()
     inner = mgr.mk_node(FALSE, 2, TRUE)

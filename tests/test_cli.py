@@ -2,9 +2,12 @@ import inspect
 import json
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from maxshare import formula as fm
+from maxshare import lam
 from maxshare.cli import main
 
 
@@ -103,6 +106,40 @@ def test_taut_too_deep_file_exit_two(tmp_path, capsys):
     assert err.startswith("error:") and "nested too deeply" in err
 
 
+@pytest.mark.parametrize("text", [
+    fm.print_formula(fm.pigeonhole(6)),
+    "(" * 100_000 + "x1 | !x1" + ")" * 100_000,
+], ids=["printed-P6", "100000-parentheses"])
+def test_taut_file_deep_parentheses_exit_zero(tmp_path, capsys, text):
+    # the parser keeps explicit stacks: only compile depth is limited
+    path = tmp_path / "deep.bf"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "taut", "--file", str(path))
+    assert code == 0
+    assert json.loads(out)["result"] is True
+
+
+_PIECES = ["x1", "x2", "x3", "x0", "x01", "0", "1", "!", "&", "|", "^",
+           "->", "<->", "(", ")", " ", "\t", "\n", "# note\n", "#",
+           "y", "\u00b2", "\u0661", "x", "-", "<"]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_taut_file_fuzz(tmp_path, capsys, text):
+    path = tmp_path / "fuzz.bf"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "taut", "--file", str(path))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        [line] = out.splitlines()
+        assert json.loads(line)["result"] is (code == 0)
+
+
 def test_bench_too_deep_exit_two(capsys, monkeypatch):
     deep = fm.Var(1)
     for _ in range(3000):
@@ -173,6 +210,17 @@ def test_lambda_sort_no_memo_value_guard(capsys):
     code, _, err = run_cli(capsys, "lambda-sort", "--list", "9,1",
                            "--no-memo")
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-memo"]])
+def test_lambda_sort_step_guard_exit_two(capsys, monkeypatch, flags):
+    # the step guard is an engine bound: exit 2 with an error line
+    monkeypatch.setattr(lam, "STEP_GUARD", 100)
+    code, out, err = run_cli(capsys, "lambda-sort", "--list", "2,1,0",
+                             *flags)
+    assert code == 2
+    assert out == ""
+    assert err == "error: exceeded 100 reduction steps\n"
 
 
 def test_lambda_sort_malformed_list(capsys):

@@ -91,6 +91,48 @@ def test_parse_comments_and_syntax_errors():
         parse("x\u00b2")
 
 
+@pytest.mark.parametrize("text, line, column, message", [
+    ("x1 &\n& x2", 2, 1, "expected formula, got '&'"),
+    ("(x1 |\n  x2 x3)", 2, 6, "expected ')', got 'x3'"),
+    ("x1 (x2)", 1, 4, "trailing input '('"),
+    # end of input is located after the trailing comment
+    ("(x1 & x2  # open", 1, 17, "expected ')', got 'end of input'"),
+    ("x1 ->\n# no operand", 2, 13, "expected formula, got 'end of input'"),
+    # the first error in reading order wins, a bad character after it
+    # included
+    ("x1 x2 $", 1, 4, "trailing input 'x2'"),
+    ("x1 &\n\t$ x2 x3", 2, 2, "unexpected character '$'"),
+])
+def test_parse_error_positions(text, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"{line}:{column}: {message}"
+
+
+def test_parse_has_no_nesting_limit():
+    # 100,000 levels at the default recursion limit; the AST is walked
+    # in a loop, since == and repr would recurse on it
+    f = parse("!" * 100_000 + "x1")
+    for _ in range(100_000):
+        assert isinstance(f, Not)
+        f = f.operand
+    assert f == Var(1)
+    f = parse("(" * 100_000 + "x1 | !x1" + ")" * 100_000)
+    assert f == Or(Var(1), Not(Var(1)))
+    f = parse(" -> ".join(["x2"] * 50_000))
+    for _ in range(49_999):
+        assert isinstance(f, Implies) and f.left == Var(2)
+        f = f.right
+    assert f == Var(2)
+
+
+def test_print_parse_round_trip_pigeonhole():
+    text = print_formula(pigeonhole(6))
+    assert text.count("(") > 100
+    assert parse(text) == pigeonhole(6)
+
+
 @settings(max_examples=150, deadline=None)
 @given(formulas())
 def test_print_parse_round_trip(f):
