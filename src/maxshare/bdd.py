@@ -12,13 +12,26 @@ pool's unique-table key and its stored node.  The leaves are
 preallocated as `(LEAF_VAR, 0, 0)` (FALSE, id 0) and `(LEAF_VAR, 1, 1)`
 (TRUE, id 1), so `nodes[x][0]` is the head variable of any id, leaves
 included.  The pool is the unique table;
-each operation has its own memo table (the computed table).  Binary
-operations are one generic melding body instantiated with
-per-operation leaf-rewrite rules; the memoized recursions are built
-once per manager.  Ids and ops are checked once, at the public entry
-points (`apply2`, `mk_not`, `mk_ite`, `mk_node`, `node`, `head_var`,
-`eval`, `node_count`); internal steps read the nodes of ids the pool
-issued directly.
+each operation has its own memo table (the computed table), and the
+operations are built once per manager.
+
+`and` and `or` are one explicit-stack machine, parametrised by the
+absorbing and the identity leaf: it applies the leaf rules and probes
+the memo table inline, one dict probe per pair, and keeps its work on
+lists, so their depth is bounded by memory, not by the recursion limit.
+It visits, memoizes and interns in the order the recursion would, so
+every counter is the recursion's; it keys, binds and counts the table
+as `MemoTable.inline` in `memo.py` says.  `xor`, `not` and `ite` still
+recurse through `memo_fix`, three Python frames per variable level, and
+so does `formula.compile` per formula level: that is what fails `U(n)`
+from n = 249 up at the default limit, and moving it changes which sizes
+the benchmark's `urquhart` workload finishes, so it waits for that
+workload's re-baseline.
+
+Ids and ops are checked once, at the public entry points (`apply2`,
+`mk_not`, `mk_ite`, `mk_node`, `node`, `head_var`, `eval`, `sat_one`,
+`node_count`); internal steps read the nodes of ids the pool issued
+directly.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from dataclasses import asdict
 from typing import Mapping, NamedTuple
 
 from .intern import Pool
-from .memo import MemoTable, memo_fix, table_stats
+from .memo import MemoContractError, MemoTable, memo_fix, table_stats
 
 FALSE = 0
 TRUE = 1
@@ -105,8 +118,8 @@ class BddManager:
     # Below the public entry points every id was issued by this pool:
     # nodes are read straight from `pool.back` and built without
     # mk_node's order check (expansion on the smallest head variable
-    # orders them by construction).  Each `*_step` applies its
-    # operation's leaf rules before the memo table is consulted.
+    # orders them by construction).  Each step applies its operation's
+    # leaf rules before the memo table is consulted.
 
     def _build_fixers(self) -> None:
         mt = (lambda t: t) if self.memo_enabled else (lambda t: None)
@@ -118,37 +131,90 @@ class BddManager:
                 return low
             return intern((v, low, high))
 
-        def meld(step):
-            """Body of a binary operation: simultaneous descent on the
-            smaller head variable, each cofactor pair through `step`."""
-            def body(_, key):
-                x, y = key
-                vx, xl, xh = nodes[x]
-                vy, yl, yh = nodes[y]
-                if vx == vy:
-                    return mk(step(xl, yl), vx, step(xh, yh))
-                if vx < vy:
-                    return mk(step(xl, y), vx, step(xh, y))
-                return mk(step(x, yl), vy, step(x, yh))
-            return body
+        def absorbing(absorb: int, unit: int, table: MemoTable):
+            """`and` (absorb FALSE, unit TRUE) or `or` (TRUE, FALSE) as
+            an explicit-stack machine.  Work items are pairs `(x, y)`
+            and builds `(~v, key)`: "the node on `v` from the low result
+            on `out` and the result just found, memoized under `key`".
+            A missed pair pushes its build and its high pair and goes on
+            with its low pair, so the low subproblem finishes before the
+            high one starts, as under recursion, and the same keys hit.
+            Keys are `(min, max)`, as `memo_fix` keys a commutative table,
+            and values are ids, never None."""
+            assert table.commutative
+            memo = self.memo_enabled
+            get, setdefault, record = table.inline()
 
-        def and_step(x: int, y: int) -> int:
-            if x == FALSE or y == FALSE:
-                return FALSE
-            if x == TRUE:
-                return y
-            if y == TRUE:
-                return x
-            return and_fix((x, y))
+            def step(x: int, y: int) -> int:
+                if x == absorb or y == absorb:
+                    return absorb
+                if x == unit:
+                    return y
+                if y == unit:
+                    return x
+                key = (x, y) if x < y else (y, x)
+                if memo:
+                    r = get(key)
+                    if r is not None:
+                        record(1, 0)
+                        return r
+                work: list[tuple] = []
+                out: list[int] = []
+                hits = misses = 0
+                while True:
+                    # (x, y) missed under `key`: push its build and its
+                    # high pair, and go on with its low pair
+                    misses += 1
+                    vx, xl, xh = nodes[x]
+                    vy, yl, yh = nodes[y]
+                    if vx == vy:
+                        work.append((~vx, key))
+                        work.append((xh, yh))
+                        x, y = xl, yl
+                    elif vx < vy:
+                        work.append((~vx, key))
+                        work.append((xh, y))
+                        x = xl
+                    else:
+                        work.append((~vy, key))
+                        work.append((x, yh))
+                        y = yl
+                    while True:
+                        if x == absorb or y == absorb:
+                            r = absorb
+                        elif x == unit:
+                            r = y
+                        elif y == unit:
+                            r = x
+                        else:
+                            key = (x, y) if x < y else (y, x)
+                            if not memo:
+                                break
+                            r = get(key)
+                            if r is None:
+                                break
+                            hits += 1
+                        # r is a result: run the builds it completes
+                        x, y = work.pop()
+                        while x < 0:
+                            low = out.pop()
+                            if low != r:
+                                r = intern((~x, low, r))
+                            if memo:
+                                old = setdefault(y, r)
+                                if old != r:
+                                    raise MemoContractError.rebound(y, old, r)
+                            if not work:
+                                if memo:
+                                    record(hits, misses)
+                                return r
+                            x, y = work.pop()
+                        out.append(r)
 
-        def or_step(x: int, y: int) -> int:
-            if x == TRUE or y == TRUE:
-                return TRUE
-            if x == FALSE:
-                return y
-            if y == FALSE:
-                return x
-            return or_fix((x, y))
+            return step
+
+        and_step = absorbing(FALSE, TRUE, self.m_and)
+        or_step = absorbing(TRUE, FALSE, self.m_or)
 
         def xor_step(x: int, y: int) -> int:
             if x == FALSE:
@@ -161,9 +227,17 @@ class BddManager:
                 return not_fix((x,))
             return xor_fix((x, y))
 
-        and_fix = memo_fix(meld(and_step), mt(self.m_and))
-        or_fix = memo_fix(meld(or_step), mt(self.m_or))
-        xor_fix = memo_fix(meld(xor_step), mt(self.m_xor))
+        def xor_body(_, key):
+            x, y = key
+            vx, xl, xh = nodes[x]
+            vy, yl, yh = nodes[y]
+            if vx == vy:
+                return mk(xor_step(xl, yl), vx, xor_step(xh, yh))
+            if vx < vy:
+                return mk(xor_step(xl, y), vx, xor_step(xh, y))
+            return mk(xor_step(x, yl), vy, xor_step(x, yh))
+
+        xor_fix = memo_fix(xor_body, mt(self.m_xor))
 
         def not_body(recurse, key):
             (x,) = key
@@ -250,6 +324,23 @@ class BddManager:
                 ) from None
             cur = high if bit else low
         return cur == TRUE
+
+    def sat_one(self, a: int) -> dict[int, bool]:
+        """An assignment, along one path from `a` to the FALSE leaf,
+        under which `a` is false; variables off the path are left out.
+        Every decision node of a reduced diagram reaches both leaves, so
+        the path takes the low branch unless it is TRUE."""
+        self.pool.resolve(a)
+        if a == TRUE:
+            raise BddError("a tautology has no falsifying assignment")
+        nodes = self.pool.back
+        env: dict[int, bool] = {}
+        cur = a
+        while cur > TRUE:
+            v, low, high = nodes[cur]
+            env[v] = low == TRUE
+            cur = high if env[v] else low
+        return env
 
     def is_tautology(self, a: int) -> bool:
         self.pool.resolve(a)

@@ -3,7 +3,8 @@
 Subcommands:
 
     taut         check a formula (file or generated benchmark) for
-                 tautology; exit 0 iff tautology, 1 iff not, 2 on error
+                 tautology; exit 0 iff tautology, 1 iff not (the report
+                 then carries a falsifying `counterexample`), 2 on error
                  (a formula nested deeper than the engine's recursion
                  limit included; the parser has no nesting limit)
     bench        run a benchmark suite over sizes 1..N, one record per
@@ -12,8 +13,8 @@ Subcommands:
                  the size)
     lambda-sort  sort a comma-separated list of naturals through the
                  lambda-calculus quicksort; exit 3 on decode failure,
-                 2 on error (`lam.STEP_GUARD` beta steps exceeded
-                 included)
+                 2 on error (`lam.STEP_GUARD` beta steps exceeded and
+                 a value above `MEMO_VALUE_LIMIT` included)
 
 Reports go to stdout as JSON (schema 1), diagnostics to stderr.
 """
@@ -34,6 +35,12 @@ from .memo import DepthExceededError, MemoError
 
 SCHEMA_VERSION = 1
 
+# Largest list value `lambda-sort` accepts.  A value n is a Church
+# numeral of n applications, and quicksort's comparisons cost about the
+# square of the values: memoized, the reversed list [200..191] takes
+# ~3 s and ~190 MB and [1000..991] ~80 s and 4.3 GB, while the unshared
+# --no-memo baseline grows so fast that 8 is its practical limit.
+MEMO_VALUE_LIMIT = 200
 NO_MEMO_VALUE_LIMIT = 8
 
 
@@ -71,13 +78,19 @@ def _check(command: str, f: fm.Formula) -> RunReport:
     ref = fm.compile(mgr, f)
     taut = mgr.is_tautology(ref)
     ms = (time.perf_counter() - t0) * 1000.0
-    return RunReport(
+    report = RunReport(
         command=command,
         result=taut,
         node_count=mgr.node_count(ref),
         wall_time_ms=ms,
         **mgr.stats(),
     )
+    if not taut:  # variables off the path to FALSE may take any value
+        env = dict.fromkeys(fm.variables(f), False)
+        env.update(mgr.sat_one(ref))
+        report.extra["counterexample"] = {f"x{v}": value
+                                          for v, value in env.items()}
+    return report
 
 
 def _too_deep(where: str = "") -> int:
@@ -151,6 +164,8 @@ def cmd_lambda_sort(args) -> int:
             raise ValueError(
                 f"--no-memo restricts values to <= {NO_MEMO_VALUE_LIMIT}"
             )
+        if any(v > MEMO_VALUE_LIMIT for v in values):
+            raise ValueError(f"values must be <= {MEMO_VALUE_LIMIT}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

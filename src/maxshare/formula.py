@@ -11,7 +11,9 @@ and associativity:
 
 Variable indices are 1-based and below `bdd.LEAF_VAR` (2**32), leading
 zeros ignored; blanks are space, tab, carriage return and newline; `#`
-starts a line comment.  `parse` has no nesting limit.
+starts a line comment.  `parse`, `print_formula`, `eval_formula` and
+`variables` run on explicit stacks and have no nesting limit;
+`compile` recurses once per formula level.
 """
 
 from __future__ import annotations
@@ -207,23 +209,38 @@ def parse(text: str) -> Formula:
 
 
 def print_formula(f: Formula) -> str:
-    """Text that `parse` reads back as `f`, with the fewest parentheses."""
-    def go(g: Formula, minimum: int) -> str:
+    """Text that `parse` reads back as `f`, with the fewest parentheses.
+    An explicit stack of (formula, minimum level) items and literal
+    pieces, so any depth prints."""
+    out: list[str] = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, minimum = item
         if isinstance(g, Const):
-            return "1" if g.value else "0"
+            out.append("1" if g.value else "0")
+            continue
         if isinstance(g, Var):
-            return f"x{g.index}"
+            out.append(f"x{g.index}")
+            continue
         if type(g) not in _SYNTAX:
             raise FormulaError(f"not a formula: {g!r}")
         symbol, level, right = _SYNTAX[type(g)]
+        if level < minimum:
+            out.append("(")
+            stack.append(")")
         if isinstance(g, Not):
-            s = symbol + go(g.operand, level)
+            stack.append((g.operand, level))
+            stack.append(symbol)
         else:  # an equal level needs no parentheses on the assoc. side
             lmin, rmin = (level + 1, level) if right else (level, level + 1)
-            s = f"{go(g.left, lmin)} {symbol} {go(g.right, rmin)}"
-        return f"({s})" if level < minimum else s
-
-    return go(f, 0)
+            stack.append((g.right, rmin))
+            stack.append(f" {symbol} ")
+            stack.append((g.left, lmin))
+    return "".join(out)
 
 
 # -- semantics -------------------------------------------------------------
@@ -245,31 +262,47 @@ def variables(f: Formula) -> set[int]:
     return out
 
 
+# How each binary connective combines the values of its operands.
+_COMBINE = {
+    And: lambda a, b: a and b,
+    Or: lambda a, b: a or b,
+    Xor: lambda a, b: a != b,
+    Implies: lambda a, b: (not a) or b,
+    Iff: lambda a, b: a == b,
+}
+
+
 def eval_formula(f: Formula, assignment: Mapping[int, bool]) -> bool:
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Var):
-        try:
-            return assignment[f.index]
-        except KeyError:
-            raise UnboundVariableError(
-                f"variable x{f.index} unbound in assignment"
-            ) from None
-    if isinstance(f, Not):
-        return not eval_formula(f.operand, assignment)
-    a = eval_formula(f.left, assignment)
-    b = eval_formula(f.right, assignment)
-    if isinstance(f, And):
-        return a and b
-    if isinstance(f, Or):
-        return a or b
-    if isinstance(f, Xor):
-        return a != b
-    if isinstance(f, Implies):
-        return (not a) or b
-    if isinstance(f, Iff):
-        return a == b
-    raise FormulaError(f"not a formula: {f!r}")
+    """Truth value of `f` under `assignment`, operands left to right.
+    Post-order on an explicit stack: a connective's class, pushed below
+    its operands, combines their values once they are computed."""
+    values: list[bool] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is Var:
+            try:
+                values.append(assignment[g.index])
+            except KeyError:
+                raise UnboundVariableError(
+                    f"variable x{g.index} unbound in assignment"
+                ) from None
+        elif kind is type:  # a connective, its operands evaluated
+            if g is Not:
+                values[-1] = not values[-1]
+            else:
+                b = values.pop()
+                values[-1] = _COMBINE[g](values[-1], b)
+        elif kind in _COMBINE:
+            stack += (kind, g.right, g.left)
+        elif kind is Not:
+            stack += (Not, g.operand)
+        elif kind is Const:
+            values.append(g.value)
+        else:
+            raise FormulaError(f"not a formula: {g!r}")
+    return values[0]
 
 
 def compile(mgr: BddManager, f: Formula) -> int:

@@ -24,6 +24,10 @@ class MemoError(Exception):
 class MemoContractError(MemoError):
     """A key was rebound to a different value (impure body)."""
 
+    @classmethod
+    def rebound(cls, key: MemoKey, old: Any, new: Any) -> MemoContractError:
+        return cls(f"key {key!r} rebound: {old!r} -> {new!r}")
+
 
 class DepthExceededError(MemoError):
     """A step bound tripped: the lambda normalizer's step guard, on
@@ -50,6 +54,27 @@ class MemoTable:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def inline(self) -> tuple[Callable[[MemoKey], Any],
+                              Callable[[MemoKey, Any], Any],
+                              Callable[[int, int], None]]:
+        """`(get, setdefault, record)` for a caller that probes and fills
+        the table in its own loop instead of through `memo_fix`.  Keys
+        must be normalised as `memo_fix` normalises them, and values must
+        not be None: `get(key)` is the entry, or None when there is none;
+        `setdefault(key, value)` stores it and returns the entry, which
+        the caller must check as `memo_fix` does, raising
+        `MemoContractError.rebound` if it differs; and
+        `record(hits, misses)` adds a run's counts, each miss one body
+        evaluation."""
+        entries = self._entries
+
+        def record(hits: int, misses: int) -> None:
+            self.hits += hits
+            self.misses += misses
+            self.body_evaluations += misses
+
+        return entries.get, entries.setdefault, record
 
 
 def table_stats(tables: Mapping[str, MemoTable]) -> dict[str, dict[str, int]]:
@@ -92,7 +117,7 @@ def memo_fix(
         table.body_evaluations += 1
         old = entries.setdefault(k, value)
         if old != value:
-            raise MemoContractError(f"key {k!r} rebound: {old!r} -> {value!r}")
+            raise MemoContractError.rebound(k, old, value)
         return value
 
     return recurse

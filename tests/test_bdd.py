@@ -328,3 +328,85 @@ def test_pinned_counters():
     assert compile_formula(mgr, urquhart(50)) == TRUE
     assert _counters(mgr) == (2_552, 2_500, {"xor": (2_549, 2_352),
                                              "not": (2_502, 2_696)})
+
+
+def test_pinned_counters_pigeonhole_8():
+    mgr = BddManager()
+    assert compile_formula(mgr, pigeonhole(8)) == TRUE
+    assert _counters(mgr) == (153_228, 50_780, {"and": (352, 0),
+                                                "or": (218_027, 103_490),
+                                                "not": (74, 71)})
+    assert not mgr.pool.scan_duplicates()
+
+
+# -- and/or on an explicit stack --------------------------------------------
+
+def _chain(mgr, variables, op):
+    """x_1 op x_2 op ... over `variables`, built bottom-up with mk_node."""
+    acc = TRUE if op == "and" else FALSE
+    for v in reversed(variables):
+        acc = (mgr.mk_node(FALSE, v, acc) if op == "and"
+               else mgr.mk_node(acc, v, TRUE))
+    return acc
+
+
+@pytest.mark.parametrize("memo", [True, False])
+@pytest.mark.parametrize("op", ["and", "or"])
+def test_and_or_deep_chains(op, memo):
+    # chains on the odd and the even variables interleave, so the descent
+    # is 6,000 levels deep; at the default recursion limit
+    mgr = BddManager(memo_enabled=memo)
+    odd = _chain(mgr, list(range(1, 6000, 2)), op)
+    even = _chain(mgr, list(range(2, 6001, 2)), op)
+    r = mgr.apply2(op, odd, even)
+    assert r == _chain(mgr, list(range(1, 6001)), op)
+    assert mgr.node_count(r) == 6000
+    env = dict.fromkeys(range(1, 6001), op == "and")
+    assert mgr.eval(r, env) is (op == "and")
+    env[3333] = op != "and"
+    assert mgr.eval(r, env) is (op != "and")
+
+
+@settings(max_examples=60, deadline=None)
+@given(formulas(max_vars=4), formulas(max_vars=4))
+def test_and_or_memo_transparent_and_pointwise(f, g):
+    ops = {"and": lambda x, y: x and y, "or": lambda x, y: x or y}
+    results = []
+    for memo in (True, False):
+        mgr = BddManager(memo_enabled=memo)
+        a, b = compile_formula(mgr, f), compile_formula(mgr, g)
+        out = {op: mgr.apply2(op, a, b) for op in ops}
+        for op, fn in ops.items():
+            for env in all_envs(4):
+                assert mgr.eval(out[op], env) == fn(eval_formula(f, env),
+                                                    eval_formula(g, env))
+        results.append((a, b, out, len(mgr.pool)))
+        assert not mgr.pool.scan_duplicates()
+    assert results[0] == results[1]
+
+
+# -- sat_one ---------------------------------------------------------------
+
+def test_sat_one_falsifies():
+    rng = random.Random(11)
+    mgr = BddManager()
+    assert mgr.sat_one(FALSE) == {}
+    for _ in range(200):
+        f = random_formula(rng, 6, 4)
+        r = compile_formula(mgr, f)
+        if r == TRUE:
+            with pytest.raises(BddError):
+                mgr.sat_one(r)
+            continue
+        env = mgr.sat_one(r)
+        assert set(env) <= variables(f)
+        assert mgr.eval(r, env) is False
+        full = {v: env.get(v, False) for v in variables(f)}
+        assert eval_formula(f, full) is False
+
+
+def test_sat_one_checks_ids():
+    mgr = BddManager()
+    for bad in (-1, len(mgr.pool)):
+        with pytest.raises(UnknownIdError):
+            mgr.sat_one(bad)

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from maxshare import cli
 from maxshare import formula as fm
 from maxshare import lam
 from maxshare.cli import main
@@ -33,7 +34,9 @@ def test_taut_contingent_file(tmp_path, capsys):
     path.write_text("x1\n")
     code, out, _ = run_cli(capsys, "taut", "--file", str(path))
     assert code == 1
-    assert json.loads(out)["result"] is False
+    report = json.loads(out)
+    assert report["result"] is False
+    assert report["counterexample"] == {"x1": False}
 
 
 def test_taut_tautology_file(tmp_path, capsys):
@@ -137,7 +140,14 @@ def test_taut_file_fuzz(tmp_path, capsys, text):
         assert out == "" and err.startswith("error: ")
     else:
         [line] = out.splitlines()
-        assert json.loads(line)["result"] is (code == 0)
+        report = json.loads(line)
+        assert report["result"] is (code == 0)
+        # exit 1 carries an assignment that falsifies the formula
+        assert ("counterexample" in report) is (code == 1)
+        if code == 1:
+            env = {int(name[1:]): value
+                   for name, value in report["counterexample"].items()}
+            assert fm.eval_formula(fm.parse(text), env) is False
 
 
 def test_bench_too_deep_exit_two(capsys, monkeypatch):
@@ -210,6 +220,22 @@ def test_lambda_sort_no_memo_value_guard(capsys):
     code, _, err = run_cli(capsys, "lambda-sort", "--list", "9,1",
                            "--no-memo")
     assert code == 2
+
+
+def test_lambda_sort_memo_value_guard(capsys):
+    # a 20-million-application numeral would be built before sorting
+    code, out, err = run_cli(capsys, "lambda-sort", "--list", "20000000,1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: values must be <= {cli.MEMO_VALUE_LIMIT}\n"
+    code, out, _ = run_cli(capsys, "lambda-sort", "--list",
+                           f"{cli.MEMO_VALUE_LIMIT},1")
+    assert code == 0
+    assert out.splitlines()[0] == f"1,{cli.MEMO_VALUE_LIMIT}"
+    code, out, _ = run_cli(capsys, "lambda-sort", "--list",
+                           ",".join(str(v) for v in range(9, -1, -1)))
+    assert code == 0
+    assert out.splitlines()[0] == ",".join(str(v) for v in range(10))
 
 
 @pytest.mark.parametrize("flags", [[], ["--no-memo"]])

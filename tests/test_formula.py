@@ -127,6 +127,24 @@ def test_parse_has_no_nesting_limit():
     assert f == Var(2)
 
 
+def test_print_and_eval_have_no_nesting_limit():
+    # at the default recursion limit, on what parse reads
+    text = "!" * 100_000 + "x1"
+    f = parse(text)
+    assert print_formula(f) == text
+    assert eval_formula(f, {1: True}) is True
+    assert eval_formula(parse("!" + text), {1: True}) is False
+    text = " -> ".join(f"x{i}" for i in range(1, 50_001))
+    f = parse(text)
+    assert print_formula(f) == text
+    env = dict.fromkeys(range(1, 50_001), True)
+    assert eval_formula(f, env) is True
+    env[50_000] = False
+    assert eval_formula(f, env) is False
+    env[1] = False
+    assert eval_formula(f, env) is True
+
+
 def test_print_parse_round_trip_pigeonhole():
     text = print_formula(pigeonhole(6))
     assert text.count("(") > 100

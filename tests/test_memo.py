@@ -48,6 +48,22 @@ def test_commutative_normalization():
     assert table.body_evaluations == 1 and len(table) == 1
 
 
+def test_inline_access_shares_the_table_with_memo_fix():
+    # an entry written through `inline` is a hit for `memo_fix` and the
+    # other way round; `record` counts each miss as a body evaluation
+    table = MemoTable(commutative=True)
+    get, setdefault, record = table.inline()
+    assert get((3, 7)) is None
+    assert setdefault((3, 7), 10) == 10
+    record(2, 3)
+    f = memo_fix(lambda recurse, key: key[0] * key[1], table)
+    assert f((7, 3)) == 10 and f((2, 5)) == 10
+    assert get((2, 5)) == 10 and len(table) == 2
+    assert (table.hits, table.misses, table.body_evaluations) == (3, 4, 4)
+    assert setdefault((2, 5), 11) == 10
+    assert "rebound: 10 -> 11" in str(MemoContractError.rebound((2, 5), 10, 11))
+
+
 def _exp_body(recurse, key):
     (n,) = key
     if n == 0:
