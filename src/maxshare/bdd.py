@@ -17,16 +17,16 @@ operations are built once per manager.
 
 `and` and `or` are one explicit-stack machine, parametrised by the
 absorbing and the identity leaf: it applies the leaf rules and probes
-the memo table inline, one dict probe per pair, and keeps its work on
-lists, so their depth is bounded by memory, not by the recursion limit.
-It visits, memoizes and interns in the order the recursion would, so
-every counter is the recursion's; it keys, binds and counts the table
-as `MemoTable.inline` in `memo.py` says.  `xor`, `not` and `ite` still
-recurse through `memo_fix`, three Python frames per variable level, and
-so does `formula.compile` per formula level: that is what fails `U(n)`
-from n = 249 up at the default limit, and moving it changes which sizes
-the benchmark's `urquhart` workload finishes, so it waits for that
-workload's re-baseline.
+the memo table through its `get`/`setdefault`, one dict probe per pair,
+and keeps its work on lists, so their depth is bounded by memory, not
+by the recursion limit.  It visits, memoizes and interns in the order
+the recursion would, so every counter is the recursion's.  `xor`,
+`not` and `ite` still recurse through `memo_fix`, three Python frames
+per variable level, and so does `formula.compile` per formula level:
+that is what fails `U(n)` from n = 249 up at the default limit, and
+moving it changes which sizes the benchmark's `urquhart` workload
+finishes, so it waits for that workload's re-baseline.  The commutative
+`and`, `or` and `xor` key their tables on `(min, max)`.
 
 Ids and ops are checked once, at the public entry points (`apply2`,
 `mk_not`, `mk_ite`, `mk_node`, `node`, `head_var`, `eval`, `sat_one`,
@@ -40,7 +40,8 @@ from dataclasses import asdict
 from typing import Mapping, NamedTuple
 
 from .intern import Pool
-from .memo import MemoContractError, MemoTable, memo_fix, table_stats
+from .memo import (ForgetfulTable, MemoContractError, MemoTable, memo_fix,
+                   table_stats)
 
 FALSE = 0
 TRUE = 1
@@ -71,18 +72,19 @@ class BddManager:
     """Owns the node pool and the per-operation memo tables.
 
     Single-writer; refs must never cross managers.  `memo_enabled=False`
-    recomputes everything (test mode for memo transparency checks).
+    gives every operation a `ForgetfulTable`, so the same code recomputes
+    everything (test mode for memo transparency checks).
     """
 
     def __init__(self, *, memo_enabled: bool = True) -> None:
         self.pool = Pool(preallocated=[(LEAF_VAR, FALSE, FALSE),
                                        (LEAF_VAR, TRUE, TRUE)])
-        self.memo_enabled = memo_enabled
-        self.m_and = MemoTable(commutative=True)
-        self.m_or = MemoTable(commutative=True)
-        self.m_xor = MemoTable(commutative=True)
-        self.m_not = MemoTable()
-        self.m_ite = MemoTable()
+        table = MemoTable if memo_enabled else ForgetfulTable
+        self.m_and = table()
+        self.m_or = table()
+        self.m_xor = table()
+        self.m_not = table()
+        self.m_ite = table()
         self._build_fixers()
 
     def is_leaf(self, a: int) -> bool:
@@ -122,7 +124,6 @@ class BddManager:
     # leaf rules before the memo table is consulted.
 
     def _build_fixers(self) -> None:
-        mt = (lambda t: t) if self.memo_enabled else (lambda t: None)
         nodes = self.pool.back
         intern = self.pool.intern
 
@@ -139,11 +140,9 @@ class BddManager:
             A missed pair pushes its build and its high pair and goes on
             with its low pair, so the low subproblem finishes before the
             high one starts, as under recursion, and the same keys hit.
-            Keys are `(min, max)`, as `memo_fix` keys a commutative table,
-            and values are ids, never None."""
-            assert table.commutative
-            memo = self.memo_enabled
-            get, setdefault, record = table.inline()
+            Keys are `(min, max)`, and values are ids, never None, so
+            `get`'s None is a miss."""
+            get, setdefault, record = table.get, table.setdefault, table.record
 
             def step(x: int, y: int) -> int:
                 if x == absorb or y == absorb:
@@ -153,11 +152,10 @@ class BddManager:
                 if y == unit:
                     return x
                 key = (x, y) if x < y else (y, x)
-                if memo:
-                    r = get(key)
-                    if r is not None:
-                        record(1, 0)
-                        return r
+                r = get(key)
+                if r is not None:
+                    record(1, 0)
+                    return r
                 work: list[tuple] = []
                 out: list[int] = []
                 hits = misses = 0
@@ -188,8 +186,6 @@ class BddManager:
                             r = x
                         else:
                             key = (x, y) if x < y else (y, x)
-                            if not memo:
-                                break
                             r = get(key)
                             if r is None:
                                 break
@@ -200,13 +196,11 @@ class BddManager:
                             low = out.pop()
                             if low != r:
                                 r = intern((~x, low, r))
-                            if memo:
-                                old = setdefault(y, r)
-                                if old != r:
-                                    raise MemoContractError.rebound(y, old, r)
+                            old = setdefault(y, r)
+                            if old != r:
+                                raise MemoContractError.rebound(y, old, r)
                             if not work:
-                                if memo:
-                                    record(hits, misses)
+                                record(hits, misses)
                                 return r
                             x, y = work.pop()
                         out.append(r)
@@ -225,7 +219,7 @@ class BddManager:
                 return not_fix((y,))
             if y == TRUE:
                 return not_fix((x,))
-            return xor_fix((x, y))
+            return xor_fix((x, y) if x < y else (y, x))
 
         def xor_body(_, key):
             x, y = key
@@ -237,7 +231,7 @@ class BddManager:
                 return mk(xor_step(xl, y), vx, xor_step(xh, y))
             return mk(xor_step(x, yl), vy, xor_step(x, yh))
 
-        xor_fix = memo_fix(xor_body, mt(self.m_xor))
+        xor_fix = memo_fix(xor_body, self.m_xor)
 
         def not_body(recurse, key):
             (x,) = key
@@ -248,7 +242,7 @@ class BddManager:
             v, low, high = nodes[x]
             return mk(recurse((low,)), v, recurse((high,)))
 
-        not_fix = memo_fix(not_body, mt(self.m_not))
+        not_fix = memo_fix(not_body, self.m_not)
 
         def cofactors(x: int, v: int) -> tuple[int, int]:
             w, low, high = nodes[x]
@@ -273,7 +267,7 @@ class BddManager:
                 return x
             return ite_fix((x, y, z))
 
-        ite_fix = memo_fix(ite_body, mt(self.m_ite))
+        ite_fix = memo_fix(ite_body, self.m_ite)
 
         self._binary_steps = {"and": and_step, "or": or_step,
                               "xor": xor_step}

@@ -37,9 +37,10 @@ class Pool:
     """Bidirectional interning table with a fresh-identifier counter.
 
     `fwd` maps payloads to identifiers, `back` is the inverse table
-    indexed by identifier, and `next` (== len(back)) is the next fresh
-    identifier.  `back` is public for engines that read ids they were
-    issued without `resolve`'s bounds check; only `intern` writes it.
+    indexed by identifier, and `len(pool)` (== len(back)) is the next
+    fresh identifier.  `back` is public for engines that read ids they
+    were issued without `resolve`'s bounds check; only `intern` writes
+    it.
     Clients may reserve fixed identifiers (e.g. BDD leaves) by passing
     `preallocated` payloads; those get ids 0, 1, ... in order, before
     any intern call.
@@ -56,10 +57,6 @@ class Pool:
             uid = len(self.back)
             self.back.append(p)
             self._fwd[p] = uid
-
-    @property
-    def next(self) -> int:
-        return len(self.back)
 
     def intern(self, p: tuple) -> int:
         """Return the identifier of `p`, allocating a fresh one iff no

@@ -6,9 +6,11 @@ one flat `(tag, x, y)` tuple: `(VAR_TAG, i, 0)` for the variable `i`,
 `(APP_TAG, f, a)` for an application and `(ABS_TAG, b, 0)` for an
 abstraction, so every operation unpacks `tag, x, y = nodes[t]`.  The
 four term operations (lift, subst, head normal form, normal form) are
-memoized on identifier-based keys; reduction is normal order
-(leftmost-outermost), which is what lets the fixed-point combinator in
-the quicksort benchmark normalize.
+memoized on identifier-based keys through `memo_fix`, each in its own
+`MemoTable`, or in a `ForgetfulTable` with memoization off, so both
+modes run the same code.  Reduction is normal order (leftmost-outermost),
+which is what lets the fixed-point combinator in the quicksort benchmark
+normalize.
 
 Every node also carries its free-variable bound `bound(t)`: the smallest
 `n` such that every free de Bruijn index of `t` is below `n` (0 for a
@@ -35,7 +37,8 @@ from dataclasses import asdict
 from typing import Callable, Sequence
 
 from .intern import Pool
-from .memo import DepthExceededError, MemoTable, memo_fix, table_stats
+from .memo import (DepthExceededError, ForgetfulTable, MemoTable, memo_fix,
+                   table_stats)
 
 VAR_TAG = 0
 APP_TAG = 1
@@ -107,8 +110,10 @@ def run_deep(fn: Callable, *args, stack_bytes: int = DEEP_STACK_BYTES,
 class LambdaManager:
     """Term pool plus the memo tables for lift/subst/hnf/nf.
 
-    Single-writer.  `memo_enabled` is fixed at construction; build a
-    second manager to compare memoized against unmemoized runs.
+    Single-writer.  `memo_enabled` is fixed at construction: off, every
+    operation gets a `ForgetfulTable`, so the same code recomputes
+    everything.  Build a second manager to compare memoized against
+    unmemoized runs.
     `STEP_GUARD` bounds beta reductions per top-level hnf/nf call (per
     `PlainNormalizer`, over its life) and trips DepthExceededError on
     non-normalizing input.
@@ -122,11 +127,11 @@ class LambdaManager:
     def __init__(self, *, memo_enabled: bool = True) -> None:
         self.pool = Pool()
         self._bound: list[int] = []
-        self.memo_enabled = memo_enabled
-        self.m_lifti = MemoTable()
-        self.m_subst = MemoTable()
-        self.m_hnf = MemoTable()
-        self.m_nf = MemoTable()
+        table = MemoTable if memo_enabled else ForgetfulTable
+        self.m_lifti = table()
+        self.m_subst = table()
+        self.m_hnf = table()
+        self.m_nf = table()
         self._steps = 0
         self._build_fixers()
 
@@ -170,7 +175,6 @@ class LambdaManager:
     # application children are tested.
 
     def _build_fixers(self) -> None:
-        mt = (lambda t: t) if self.memo_enabled else (lambda t: None)
         bound = self._bound
         nodes = self.pool.back
         intern = self.pool.intern
@@ -203,7 +207,7 @@ class LambdaManager:
             return app(x if bound[x] <= k else recurse((n, x, k)),
                        y if bound[y] <= k else recurse((n, y, k)))
 
-        lifti_fix = memo_fix(lifti_body, mt(self.m_lifti))
+        lifti_fix = memo_fix(lifti_body, self.m_lifti)
 
         def lifti(n: int, t: int, k: int) -> int:
             return t if n == 0 or bound[t] <= k else lifti_fix((n, t, k))
@@ -220,7 +224,7 @@ class LambdaManager:
             return app(x if bound[x] <= n else recurse((w, n, x)),
                        y if bound[y] <= n else recurse((w, n, y)))
 
-        subst_fix = memo_fix(subst_body, mt(self.m_subst))
+        subst_fix = memo_fix(subst_body, self.m_subst)
 
         def subst(w: int, n: int, t: int) -> int:
             return t if bound[t] <= n else subst_fix((w, n, t))
@@ -249,7 +253,7 @@ class LambdaManager:
                 return recurse((beta(u, hb),))
             return app(h, u)
 
-        self._hnf = memo_fix(hnf_body, mt(self.m_hnf))
+        self._hnf = memo_fix(hnf_body, self.m_hnf)
 
         def nf_body(recurse, key):
             (t,) = key
@@ -264,7 +268,7 @@ class LambdaManager:
                 return recurse((beta(u, hb),))
             return app(recurse((h,)), recurse((u,)))
 
-        self._nf = memo_fix(nf_body, mt(self.m_nf))
+        self._nf = memo_fix(nf_body, self.m_nf)
 
     def lifti(self, n: int, t: int, k: int) -> int:
         """Shift free variables >= k up by n; t itself when n == 0 or
@@ -461,16 +465,6 @@ def church_list(mgr: LambdaManager, xs: Sequence[int]) -> int:
     for v in reversed(xs):
         t = mgr.mk_app(mgr.mk_app(c, church(mgr, v)), t)
     return mgr.mk_abs(mgr.mk_abs(t))
-
-
-def church_add(mgr: LambdaManager, a: int, b: int) -> int:
-    plus = _build(mgr, _lam("m n f x", _app("m", "f", _app("n", "f", "x"))))
-    return mgr.mk_app(mgr.mk_app(plus, a), b)
-
-
-def church_mul(mgr: LambdaManager, a: int, b: int) -> int:
-    times = _build(mgr, _lam("m n f", _app("m", _app("n", "f"))))
-    return mgr.mk_app(mgr.mk_app(times, a), b)
 
 
 def _under_two_abs(mgr: LambdaManager, t: int, what: str) -> int:

@@ -1,9 +1,17 @@
 """Memoization tables and a memoizing fixpoint combinator.
 
-Tables map key tuples (identifiers and small scalars) to result values.
-An entry, once written, is never rebound to a different value;
-attempting to do so signals an impure memoized function.  Tables
-persist across top-level calls (conservative lifetime).
+A `MemoTable` is a dict from key tuples (identifiers and small scalars)
+to result values, with hit, miss and body-evaluation counters.  An
+entry, once written, is never rebound to a different value; attempting
+to do so signals an impure memoized function.  Tables persist across
+top-level calls (conservative lifetime).  `ForgetfulTable` stores
+nothing, so the same engine code runs with memoization off and every
+probe misses; results must not change.
+
+Every caller probes a table through its own `get`/`setdefault`:
+`memo_fix`, and the BDD engine's explicit-stack `and`/`or`.  An
+operation whose operands commute keys `(min, max)` itself before the
+probe.
 
 `memo_fix` adds no recursion guard of its own: a body that is not
 well-founded ends in Python's `RecursionError`, and the lambda
@@ -37,44 +45,37 @@ class DepthExceededError(MemoError):
 _ABSENT = object()
 
 
-class MemoTable:
-    """Memo table with hit/miss counters, filled and read by `memo_fix`.
+class MemoTable(dict):
+    """Memo table: the dict of entries, plus hit/miss counters.
 
-    For tables backing commutative binary operations, pass
-    `commutative=True`: keys (a, b) are normalized to (min, max), which
-    doubles the hit rate without a second entry.
+    A caller probes it with `get`, stores a computed value with
+    `setdefault` and checks the entry it returns, raising
+    `MemoContractError.rebound` if it differs.  The counters are slots,
+    which keeps their increments as cheap as on a plain object.
     """
 
-    def __init__(self, *, commutative: bool = False) -> None:
-        self.commutative = commutative
-        self._entries: dict[MemoKey, Any] = {}
+    __slots__ = ("hits", "misses", "body_evaluations")
+
+    def __init__(self) -> None:
+        super().__init__()
         self.hits = 0
         self.misses = 0
         self.body_evaluations = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def record(self, hits: int, misses: int) -> None:
+        """Add a run's counts; each miss is one body evaluation."""
+        self.hits += hits
+        self.misses += misses
+        self.body_evaluations += misses
 
-    def inline(self) -> tuple[Callable[[MemoKey], Any],
-                              Callable[[MemoKey, Any], Any],
-                              Callable[[int, int], None]]:
-        """`(get, setdefault, record)` for a caller that probes and fills
-        the table in its own loop instead of through `memo_fix`.  Keys
-        must be normalised as `memo_fix` normalises them, and values must
-        not be None: `get(key)` is the entry, or None when there is none;
-        `setdefault(key, value)` stores it and returns the entry, which
-        the caller must check as `memo_fix` does, raising
-        `MemoContractError.rebound` if it differs; and
-        `record(hits, misses)` adds a run's counts, each miss one body
-        evaluation."""
-        entries = self._entries
 
-        def record(hits: int, misses: int) -> None:
-            self.hits += hits
-            self.misses += misses
-            self.body_evaluations += misses
+class ForgetfulTable(MemoTable):
+    """A table that stores nothing: memoization off, same counters."""
 
-        return entries.get, entries.setdefault, record
+    __slots__ = ()
+
+    def setdefault(self, key: MemoKey, value: Any) -> Any:
+        return value
 
 
 def table_stats(tables: Mapping[str, MemoTable]) -> dict[str, dict[str, int]]:
@@ -86,38 +87,31 @@ def table_stats(tables: Mapping[str, MemoTable]) -> dict[str, dict[str, int]]:
 
 def memo_fix(
     body: Callable[[Callable[[MemoKey], Any], MemoKey], Any],
-    table: MemoTable | None,
+    table: MemoTable,
 ) -> Callable[[MemoKey], Any]:
     """Memoizing fixpoint of `body`.
 
     `body(recurse, key)` computes the value at `key`, making self-calls
     through `recurse`.  For a pure, well-founded body the result is
     extensionally equal to the plain fixpoint, and each distinct key's
-    body runs at most once per table lifetime.  Passing `table=None`
-    disables caching entirely (test mode); the results must not change.
+    body runs at most once per table lifetime; with a `ForgetfulTable`
+    it runs on every call, and the results must not change.  One dict
+    probe per call.
     """
-    if table is None:
-        def recurse(key: MemoKey) -> Any:
-            return body(recurse, key)
-        return recurse
-
-    # One dict probe per call.  `body` receives the caller's key, not
-    # the normalised one.
-    entries = table._entries
-    commutative = table.commutative
+    get = table.get
+    setdefault = table.setdefault
 
     def recurse(key: MemoKey) -> Any:
-        k = (key[1], key[0]) if commutative and key[0] > key[1] else key
-        cached = entries.get(k, _ABSENT)
+        cached = get(key, _ABSENT)
         if cached is not _ABSENT:
             table.hits += 1
             return cached
         table.misses += 1
         value = body(recurse, key)
         table.body_evaluations += 1
-        old = entries.setdefault(k, value)
+        old = setdefault(key, value)
         if old != value:
-            raise MemoContractError.rebound(k, old, value)
+            raise MemoContractError.rebound(key, old, value)
         return value
 
     return recurse

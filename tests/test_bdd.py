@@ -292,6 +292,21 @@ def test_memoized_call_bound():
         assert delta <= bound
 
 
+def test_commutative_normalization():
+    # the commutative operations key (min, max): swapping the operands
+    # finds the first call's entry
+    for op in ("and", "or", "xor"):
+        mgr = BddManager()
+        table = getattr(mgr, f"m_{op}")
+        a, b = mgr.mk_node(FALSE, 1, TRUE), mgr.mk_node(TRUE, 2, FALSE)
+        r = mgr.apply2(op, b, a)
+        entries, hits, misses = len(table), table.hits, table.misses
+        assert entries > 0
+        assert mgr.apply2(op, a, b) == r
+        assert (len(table), table.hits, table.misses) == \
+            (entries, hits + 1, misses)
+
+
 @settings(max_examples=60, deadline=None)
 @given(formulas(max_vars=4), formulas(max_vars=4))
 def test_canonicity_property(f, g):

@@ -26,10 +26,10 @@ def test_intern_distinguishes_attrs():
 
 def test_preallocated_ids_come_first():
     pool = Pool(preallocated=[leaf(0), leaf(1)])
-    assert pool.next == 2
+    assert len(pool) == 2
     first = pool.intern(leaf(2))
     assert first == 2
-    assert pool.next == 3
+    assert len(pool) == 3
 
 
 def test_resolve_round_trip():
@@ -47,7 +47,7 @@ def test_resolve_out_of_range():
     pool = Pool()
     pool.intern(leaf(1))
     with pytest.raises(UnknownIdError):
-        pool.resolve(pool.next)
+        pool.resolve(len(pool))
 
 
 def test_scan_duplicates_empty_after_interning():
@@ -77,9 +77,9 @@ def test_pool_invariants(specs):
     pool = Pool(preallocated=[leaf(0), leaf(1)])
     for p in specs:
         uid = pool.intern(p)
-        assert uid < pool.next
+        assert uid < len(pool)
     # bijection: resolve inverts intern for every issued id
-    for uid in range(pool.next):
+    for uid in range(len(pool)):
         p = pool.resolve(uid)
         assert pool.intern(p) == uid
     assert pool.scan_duplicates() == []

@@ -14,10 +14,11 @@ from maxshare.lam import (
     LambdaManager,
     PlainNormalizer,
     ShapeError,
+    _app,
+    _build,
+    _lam,
     church,
-    church_add,
     church_list,
-    church_mul,
     decode_church,
     decode_list,
     from_plain,
@@ -242,6 +243,16 @@ def test_nf_of_normal_term(mgr):
 def test_identity_self_application(mgr):
     ident = mgr.mk_abs(mgr.mk_var(0))
     assert mgr.nf(mgr.mk_app(ident, ident)) == ident
+
+
+def church_add(mgr, a, b):
+    plus = _build(mgr, _lam("m n f x", _app("m", "f", _app("n", "f", "x"))))
+    return mgr.mk_app(mgr.mk_app(plus, a), b)
+
+
+def church_mul(mgr, a, b):
+    times = _build(mgr, _lam("m n f", _app("m", _app("n", "f"))))
+    return mgr.mk_app(mgr.mk_app(times, a), b)
 
 
 def test_church_arithmetic(mgr):

@@ -1,7 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from maxshare.bdd import BddManager
+from maxshare.formula import compile as compile_formula
+from maxshare.formula import pigeonhole
+from maxshare.lam import LambdaManager, church_list, quicksort_term
 from maxshare.memo import (
+    ForgetfulTable,
     MemoContractError,
     MemoTable,
     memo_fix,
@@ -34,33 +39,19 @@ def test_memo_fix_same_value_rebinding_accepted():
     assert len(t) == 1 and t.body_evaluations == 2
 
 
-def test_commutative_normalization():
-    calls = []
-
-    def body(recurse, key):
-        calls.append(key)
-        return key[0] + key[1]
-
-    table = MemoTable(commutative=True)
-    f = memo_fix(body, table)
-    assert f((7, 3)) == f((3, 7)) == 10
-    assert calls == [(7, 3)]
-    assert table.body_evaluations == 1 and len(table) == 1
-
-
-def test_inline_access_shares_the_table_with_memo_fix():
-    # an entry written through `inline` is a hit for `memo_fix` and the
-    # other way round; `record` counts each miss as a body evaluation
-    table = MemoTable(commutative=True)
-    get, setdefault, record = table.inline()
-    assert get((3, 7)) is None
-    assert setdefault((3, 7), 10) == 10
-    record(2, 3)
+def test_table_access_shares_entries_and_counters_with_memo_fix():
+    # an entry written through the table's own `setdefault` is a hit for
+    # `memo_fix` and the other way round; `record` counts each miss as a
+    # body evaluation
+    table = MemoTable()
+    assert table.get((3, 7)) is None
+    assert table.setdefault((3, 7), 10) == 10
+    table.record(2, 3)
     f = memo_fix(lambda recurse, key: key[0] * key[1], table)
-    assert f((7, 3)) == 10 and f((2, 5)) == 10
-    assert get((2, 5)) == 10 and len(table) == 2
+    assert f((3, 7)) == 10 and f((2, 5)) == 10
+    assert table.get((2, 5)) == 10 and len(table) == 2
     assert (table.hits, table.misses, table.body_evaluations) == (3, 4, 4)
-    assert setdefault((2, 5), 11) == 10
+    assert table.setdefault((2, 5), 11) == 10
     assert "rebound: 10 -> 11" in str(MemoContractError.rebound((2, 5), 10, 11))
 
 
@@ -107,10 +98,13 @@ def test_at_most_once_per_key():
     assert t.body_evaluations == evals
 
 
+# the forgetful reference runs `memo_fix`'s probe and counters on each
+# of its 2**(n+1) - 1 calls, ~0.3 s at n = 18
+@settings(deadline=None)
 @given(st.integers(0, 18))
 def test_transparency_against_unmemoized(n):
     memoized = memo_fix(_exp_body, MemoTable())
-    plain = memo_fix(_exp_body, None)
+    plain = memo_fix(_exp_body, ForgetfulTable())
     assert memoized((n,)) == plain((n,)) == 2**n
 
 
@@ -121,3 +115,28 @@ def test_table_persists_across_calls():
     g = memo_fix(_exp_body, t)  # fresh combinator, same table
     g((8,))
     assert t.body_evaluations == 9
+
+
+def _bdd_run(memo):
+    mgr = BddManager(memo_enabled=memo)
+    r = compile_formula(mgr, pigeonhole(3))
+    return r, mgr, [mgr.m_and, mgr.m_or, mgr.m_xor, mgr.m_not, mgr.m_ite]
+
+
+def _lambda_run(memo):
+    mgr = LambdaManager(memo_enabled=memo)
+    r = mgr.nf(mgr.mk_app(quicksort_term(mgr), church_list(mgr, [2, 0, 1])))
+    return r, mgr, [mgr.m_lifti, mgr.m_subst, mgr.m_hnf, mgr.m_nf]
+
+
+@pytest.mark.parametrize("run", [_bdd_run, _lambda_run])
+def test_memo_off_stores_nothing_and_counts_every_evaluation(run):
+    # memo off runs the same engine code on forgetful tables: nothing is
+    # stored, every probe misses and runs its body once
+    on, on_mgr, _ = run(True)
+    off, off_mgr, tables = run(False)
+    assert off == on and len(off_mgr.pool) == len(on_mgr.pool)
+    assert all(isinstance(t, ForgetfulTable) for t in tables)
+    assert all(len(t) == 0 and t.hits == 0 for t in tables)
+    assert all(t.misses == t.body_evaluations for t in tables)
+    assert sum(t.misses for t in tables) > 0
