@@ -11,9 +11,12 @@ and associativity:
 
 Variable indices are 1-based and below `bdd.LEAF_VAR` (2**32), leading
 zeros ignored; blanks are space, tab, carriage return and newline; `#`
-starts a line comment.  `parse`, `print_formula`, `eval_formula` and
-`variables` run on explicit stacks and have no nesting limit;
-`compile` recurses once per formula level.
+starts a line comment.  `parse`, `print_formula`, `eval_formula`,
+`variables` and the AST classes' `==`, `hash` and `repr` run on explicit
+stacks and have no nesting limit.  `compile` loops over `!` and recurses
+once per binary connective; it pushes negations into constants,
+variables and the left operand of `^` and `<->`, so a chain of `<->`
+builds no complement of its accumulated diagram.
 """
 
 from __future__ import annotations
@@ -47,47 +50,108 @@ class OracleLimitError(FormulaError):
     """Truth-table enumeration requested over too many variables."""
 
 
-@dataclass(frozen=True)
-class Const:
+class _Ast:
+    """Base of the AST classes.  `==`, `hash` and `repr` mean what the
+    dataclass-generated ones would (equal: same class and equal fields;
+    `repr` such as `Not(operand=Var(index=1))`), but run on explicit
+    stacks, so a formula of any depth compares, hashes and prints.  Each
+    class's fields are its `__match_args__`, in declaration order."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, _Ast):
+                    stack.append((x, y))
+                elif not (x is y or x == y):
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        # Folds the pre-order sequence of classes and field values, which
+        # fixes the tree because each class has a fixed number of fields.
+        h = 0
+        stack: list = [self]
+        while stack:
+            g = stack.pop()
+            if isinstance(g, _Ast):
+                h = hash((h, g.__class__))
+                stack += [getattr(g, name) for name in g.__match_args__]
+            else:
+                h = hash((h, g))
+        return h
+
+    def __repr__(self) -> str:
+        # The stack holds nodes still to print and text already made.
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            g = stack.pop()
+            if not isinstance(g, _Ast):
+                out.append(g)
+                continue
+            out.append(g.__class__.__qualname__ + "(")
+            stack.append(")")
+            names = g.__match_args__
+            for i in reversed(range(len(names))):
+                value = getattr(g, names[i])
+                stack.append(value if isinstance(value, _Ast) else repr(value))
+                stack.append((", " if i else "") + names[i] + "=")
+        return "".join(out)
+
+
+_ast = dataclass(frozen=True, eq=False, repr=False)
+
+
+@_ast
+class Const(_Ast):
     value: bool
 
 
-@dataclass(frozen=True)
-class Var:
+@_ast
+class Var(_Ast):
     index: int
 
 
-@dataclass(frozen=True)
-class Not:
+@_ast
+class Not(_Ast):
     operand: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@_ast
+class And(_Ast):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@_ast
+class Or(_Ast):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Xor:
+@_ast
+class Xor(_Ast):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@_ast
+class Implies(_Ast):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Iff:
+@_ast
+class Iff(_Ast):
     left: "Formula"
     right: "Formula"
 
@@ -305,29 +369,47 @@ def eval_formula(f: Formula, assignment: Mapping[int, bool]) -> bool:
     return values[0]
 
 
+# Connectives that `compile` builds with `and`/`or`: the operation and
+# whether the left operand is compiled negated.
+_AND_OR = {And: ("and", False), Or: ("or", False), Implies: ("or", True)}
+
+
 def compile(mgr: BddManager, f: Formula) -> int:
-    """Bottom-up compilation to a canonical BDD reference."""
-    if isinstance(f, Const):
-        return TRUE if f.value else FALSE
-    if isinstance(f, Var):
-        if not (1 <= f.index < LEAF_VAR):
-            raise RangeError(f"variable index {f.index} out of range")
-        return mgr.mk_node(FALSE, f.index, TRUE)
-    if isinstance(f, Not):
-        return mgr.mk_not(compile(mgr, f.operand))
-    a = compile(mgr, f.left)
-    b = compile(mgr, f.right)
-    if isinstance(f, And):
-        return mgr.apply2("and", a, b)
-    if isinstance(f, Or):
-        return mgr.apply2("or", a, b)
-    if isinstance(f, Xor):
-        return mgr.apply2("xor", a, b)
-    if isinstance(f, Implies):
-        return mgr.apply2("or", mgr.mk_not(a), b)
-    if isinstance(f, Iff):
-        return mgr.mk_not(mgr.apply2("xor", a, b))
-    raise FormulaError(f"not a formula: {f!r}")
+    """Bottom-up compilation to a canonical BDD reference.
+
+    Each subformula is compiled under a negation flag, so a complement
+    (a walk over a whole diagram, without complement edges) is built
+    only where no connective can absorb it.  `!` flips the flag in a
+    loop.  A constant or variable builds its complement directly.  `^`
+    and `<->` pass the flag to their left operand, since not(a ^ b) is
+    (!a ^ b) and (a <-> b) is (!a ^ b).  `&`, `|` and `->` (built as
+    (!a | b)) take one `mk_not` of their own result when the flag is
+    set.  Recurses once per binary connective."""
+    mk_node, apply2, mk_not = mgr.mk_node, mgr.apply2, mgr.mk_not
+
+    def build(f: Formula, negated: bool) -> int:
+        while type(f) is Not:
+            f = f.operand
+            negated = not negated
+        kind = type(f)
+        if kind is Var:
+            if not (1 <= f.index < LEAF_VAR):
+                raise RangeError(f"variable index {f.index} out of range")
+            if negated:
+                return mk_node(TRUE, f.index, FALSE)
+            return mk_node(FALSE, f.index, TRUE)
+        if kind is Const:
+            return TRUE if bool(f.value) != negated else FALSE
+        if kind is Xor or kind is Iff:
+            return apply2("xor", build(f.left, negated != (kind is Iff)),
+                          build(f.right, False))
+        if kind not in _AND_OR:
+            raise FormulaError(f"not a formula: {f!r}")
+        op, left_negated = _AND_OR[kind]
+        r = apply2(op, build(f.left, left_negated), build(f.right, False))
+        return mk_not(r) if negated else r
+
+    return build(f, False)
 
 
 def assignments(nvars: int) -> Iterator[dict[int, bool]]:

@@ -101,12 +101,24 @@ def test_taut_too_deep_urquhart_exit_two(capsys):
 
 
 def test_taut_too_deep_file_exit_two(tmp_path, capsys):
+    # compile recurses once per binary connective
     path = tmp_path / "deep.bf"
-    path.write_text("!" * 3000 + "x1 | 1\n")
+    path.write_text("(x1 & " * 3000 + "x1" + ")" * 3000 + " | 1\n")
     code, out, err = run_cli(capsys, "taut", "--file", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("count", [3_000, 100_000])
+def test_taut_file_deep_negations_exit_zero(tmp_path, capsys, count):
+    # compile loops over `!`, at the default recursion limit; an even
+    # count of `!` over x1 | !x1 is a tautology
+    path = tmp_path / "deep.bf"
+    path.write_text("!" * count + "(x1 | !x1)\n")
+    code, out, _ = run_cli(capsys, "taut", "--file", str(path))
+    assert code == 0
+    assert json.loads(out)["result"] is True
 
 
 @pytest.mark.parametrize("text", [
@@ -153,7 +165,7 @@ def test_taut_file_fuzz(tmp_path, capsys, text):
 def test_bench_too_deep_exit_two(capsys, monkeypatch):
     deep = fm.Var(1)
     for _ in range(3000):
-        deep = fm.Not(deep)
+        deep = fm.And(fm.Var(1), deep)
     monkeypatch.setattr(fm, "urquhart", lambda n: fm.Or(deep, fm.Const(True)))
     code, out, err = run_cli(capsys, "bench", "urquhart", "--max", "1")
     assert code == 2

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import equivalent_variant, formulas, random_formula
 from maxshare.bdd import (
@@ -110,21 +112,26 @@ def test_parse_error_positions(text, line, column, message):
     assert str(exc.value) == f"{line}:{column}: {message}"
 
 
+def _nested_not(count, f):
+    for _ in range(count):
+        f = Not(f)
+    return f
+
+
+def _implies_chain(operands):
+    acc = operands[-1]
+    for g in reversed(operands[:-1]):
+        acc = Implies(g, acc)
+    return acc
+
+
 def test_parse_has_no_nesting_limit():
-    # 100,000 levels at the default recursion limit; the AST is walked
-    # in a loop, since == and repr would recurse on it
-    f = parse("!" * 100_000 + "x1")
-    for _ in range(100_000):
-        assert isinstance(f, Not)
-        f = f.operand
-    assert f == Var(1)
+    # 100,000 levels at the default recursion limit
+    assert parse("!" * 100_000 + "x1") == _nested_not(100_000, Var(1))
     f = parse("(" * 100_000 + "x1 | !x1" + ")" * 100_000)
     assert f == Or(Var(1), Not(Var(1)))
     f = parse(" -> ".join(["x2"] * 50_000))
-    for _ in range(49_999):
-        assert isinstance(f, Implies) and f.left == Var(2)
-        f = f.right
-    assert f == Var(2)
+    assert f == _implies_chain([Var(2)] * 50_000)
 
 
 def test_print_and_eval_have_no_nesting_limit():
@@ -143,6 +150,63 @@ def test_print_and_eval_have_no_nesting_limit():
     assert eval_formula(f, env) is False
     env[1] = False
     assert eval_formula(f, env) is True
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: _nested_not(100_000, Var(v)),
+    lambda v: _implies_chain([Var(i) for i in range(v, v + 50_000)]),
+], ids=["100000-nots", "50000-implies"])
+def test_eq_hash_repr_have_no_nesting_limit(build):
+    # two separately built copies, so == cannot stop at identity
+    f, g, h = build(1), build(1), build(2)
+    assert f == g and f is not g
+    assert f != h and not f == h
+    assert hash(f) == hash(g)
+    assert hash(f) != hash(h)
+    assert len({f, g, h}) == 2
+    text = repr(f)
+    assert text == repr(g)
+    if isinstance(f, Not):
+        assert text == "Not(operand=" * 100_000 + "Var(index=1)" + ")" * 100_000
+    else:
+        assert text.startswith("Implies(left=Var(index=1), right=Implies(")
+        assert text.endswith("right=Var(index=50000)" + ")" * 49_999)
+
+
+# Each AST class as a plain frozen dataclass of the same name and fields,
+# with the generated ==, hash and repr.
+_PLAIN = {cls: dataclasses.make_dataclass(
+              cls.__name__, [(field.name, field.type)
+                             for field in dataclasses.fields(cls)],
+              frozen=True)
+          for cls in (Const, Var, Not, And, Or, Xor, Implies, Iff)}
+
+
+def _plain(f):
+    """`f` rebuilt from the plain dataclasses (recursive; small `f`)."""
+    return _PLAIN[type(f)](*(
+        _plain(v) if type(v) in _PLAIN else v
+        for v in (getattr(f, field.name) for field in dataclasses.fields(f))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas(max_vars=2, max_leaves=4), formulas(max_vars=2, max_leaves=4))
+def test_eq_and_repr_match_the_generated_ones(f, g):
+    # small formulas over two variables, so equal pairs are frequent
+    assert repr(f) == repr(_plain(f))
+    assert (f == g) == (_plain(f) == _plain(g))
+    assert (f != g) == (_plain(f) != _plain(g))
+    copy = parse(print_formula(f))
+    assert copy == f and hash(copy) == hash(f)
+    if f == g:
+        assert hash(f) == hash(g)
+
+
+def test_eq_compares_classes_and_field_values():
+    assert Const(True) == Const(1) and hash(Const(True)) == hash(Const(1))
+    assert And(Var(1), Var(2)) != Or(Var(1), Var(2))
+    assert Not(Var(1)) != Var(1)
+    assert Var(1) != 1 and Var(1).__eq__(1) is NotImplemented
 
 
 def test_print_parse_round_trip_pigeonhole():
@@ -197,6 +261,22 @@ def test_compile_negated_var():
     r = compile(mgr, Not(Var(2)))
     n = mgr.node(r)
     assert (n.low, n.var, n.high) == (TRUE, 2, FALSE)
+
+
+@pytest.mark.parametrize("memo", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(f=formulas(max_vars=4), extra=st.integers(min_value=0, max_value=3))
+def test_compile_pushes_negation(memo, f, extra):
+    # every connective under nested negations: compiling !f is the
+    # complement of compiling f, and both agree with the oracle
+    mgr = BddManager(memo_enabled=memo)
+    f = _nested_not(extra, f)
+    r = compile(mgr, f)
+    rn = compile(mgr, Not(f))
+    assert rn == mgr.mk_not(r)
+    for env in all_envs(4):
+        assert mgr.eval(r, env) is eval_formula(f, env)
+        assert mgr.eval(rn, env) is not eval_formula(f, env)
 
 
 def test_equivalent_formulas_compile_to_same_id():
