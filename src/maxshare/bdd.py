@@ -13,20 +13,24 @@ preallocated as `(LEAF_VAR, 0, 0)` (FALSE, id 0) and `(LEAF_VAR, 1, 1)`
 (TRUE, id 1), so `nodes[x][0]` is the head variable of any id, leaves
 included.  The pool is the unique table;
 each operation has its own memo table (the computed table), and the
-operations are built once per manager.
+operations are built once per manager.  There are four tables, `and`,
+`or`, `xor` and `not`: `mk_ite(c, t, e)` is built as
+`or(and(c, t), and(not c, e))`, which names the same canonical diagram
+a ternary expansion would.
 
 `and` and `or` are one explicit-stack machine, parametrised by the
 absorbing and the identity leaf: it applies the leaf rules and probes
 the memo table through its `get`/`setdefault`, one dict probe per pair,
 and keeps its work on lists, so their depth is bounded by memory, not
 by the recursion limit.  It visits, memoizes and interns in the order
-the recursion would, so every counter is the recursion's.  `xor`,
-`not` and `ite` still recurse through `memo_fix`, three Python frames
-per variable level, and so does `formula.compile` per formula level:
+the recursion would, so every counter is the recursion's.  `xor` and
+`not` still recurse through `memo_fix`, two or three Python frames per
+variable level, and so does `formula.compile` per formula level:
 that is what fails `U(n)` from n = 249 up at the default limit, and
 moving it changes which sizes the benchmark's `urquhart` workload
 finishes, so it waits for that workload's re-baseline.  The commutative
-`and`, `or` and `xor` key their tables on `(min, max)`.
+`and`, `or` and `xor` key their tables on `(min, max)`, and `not` on the
+id itself.
 
 Ids and ops are checked once, at the public entry points (`apply2`,
 `mk_not`, `mk_ite`, `mk_node`, `node`, `head_var`, `eval`, `sat_one`,
@@ -36,12 +40,11 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Mapping, NamedTuple
 
 from .intern import Pool
-from .memo import (ForgetfulTable, MemoContractError, MemoTable, memo_fix,
-                   table_stats)
+from .memo import (ForgetfulTable, MemoContractError, MemoTable,
+                   manager_stats, memo_fix)
 
 FALSE = 0
 TRUE = 1
@@ -84,7 +87,6 @@ class BddManager:
         self.m_or = table()
         self.m_xor = table()
         self.m_not = table()
-        self.m_ite = table()
         self._build_fixers()
 
     def is_leaf(self, a: int) -> bool:
@@ -216,9 +218,9 @@ class BddManager:
             if y == FALSE:
                 return x
             if x == TRUE:
-                return not_fix((y,))
+                return not_fix(y)
             if y == TRUE:
-                return not_fix((x,))
+                return not_fix(x)
             return xor_fix((x, y) if x < y else (y, x))
 
         def xor_body(_, key):
@@ -233,46 +235,19 @@ class BddManager:
 
         xor_fix = memo_fix(xor_body, self.m_xor)
 
-        def not_body(recurse, key):
-            (x,) = key
+        def not_body(recurse, x):
             if x == FALSE:
                 return TRUE
             if x == TRUE:
                 return FALSE
             v, low, high = nodes[x]
-            return mk(recurse((low,)), v, recurse((high,)))
+            return mk(recurse(low), v, recurse(high))
 
         not_fix = memo_fix(not_body, self.m_not)
-
-        def cofactors(x: int, v: int) -> tuple[int, int]:
-            w, low, high = nodes[x]
-            return (low, high) if w == v else (x, x)
-
-        def ite_body(_, key):
-            x, y, z = key
-            v = min(nodes[x][0], nodes[y][0], nodes[z][0])
-            xl, xh = cofactors(x, v)
-            yl, yh = cofactors(y, v)
-            zl, zh = cofactors(z, v)
-            return mk(ite_step(xl, yl, zl), v, ite_step(xh, yh, zh))
-
-        def ite_step(x: int, y: int, z: int) -> int:
-            if x == TRUE:
-                return y
-            if x == FALSE:
-                return z
-            if y == z:
-                return y
-            if y == TRUE and z == FALSE:
-                return x
-            return ite_fix((x, y, z))
-
-        ite_fix = memo_fix(ite_body, self.m_ite)
 
         self._binary_steps = {"and": and_step, "or": or_step,
                               "xor": xor_step}
         self._not = not_fix
-        self._ite_step = ite_step
 
     def apply2(self, op: str, a: int, b: int) -> int:
         """Canonical BDD of the pointwise boolean combination.
@@ -291,14 +266,16 @@ class BddManager:
     def mk_not(self, a: int) -> int:
         """Canonical complement, memoized on the identifier."""
         self.pool.resolve(a)
-        return self._not((a,))
+        return self._not(a)
 
     def mk_ite(self, c: int, t: int, e: int) -> int:
-        """If-then-else (c and t) or (not c and e), by ternary Shannon
-        expansion on the minimum head variable."""
+        """If-then-else, built as (c and t) or (not c and e); diagrams
+        are canonical, so this is the id a ternary expansion would
+        give."""
         for r in (c, t, e):
             self.pool.resolve(r)
-        return self._ite_step(c, t, e)
+        step = self._binary_steps
+        return step["or"](step["and"](c, t), step["and"](self._not(c), e))
 
     # -- observers -------------------------------------------------------
 
@@ -359,7 +336,6 @@ class BddManager:
     def stats(self) -> dict[str, dict]:
         """Pool counters and each memo table's hits, misses and body
         evaluations, as the `pool_stats` and `memo_stats` of a report."""
-        return {"pool_stats": asdict(self.pool.stats()),
-                "memo_stats": table_stats({
-                    "and": self.m_and, "or": self.m_or, "xor": self.m_xor,
-                    "not": self.m_not, "ite": self.m_ite})}
+        return manager_stats(self.pool, {
+            "and": self.m_and, "or": self.m_or, "xor": self.m_xor,
+            "not": self.m_not})

@@ -6,15 +6,18 @@ Subcommands:
                  tautology; exit 0 iff tautology, 1 iff not (the report
                  then carries a falsifying `counterexample`), 2 on error
                  (a formula nested deeper than the engine's recursion
-                 limit included; the parser has no nesting limit)
+                 limit, a generator size outside 1..`URQUHART_LIMIT`
+                 or 1..`PIGEONHOLE_LIMIT` of `formula`, and running out
+                 of memory included; the parser has no nesting limit)
     bench        run a benchmark suite over sizes 1..N, one record per
                  size, printed as the size finishes; exit 3 if any size
-                 is not a tautology, 2 on error (the `error:` line names
-                 the size)
+                 is not a tautology, 2 on error, out of memory included
+                 (the `error:` line names the size)
     lambda-sort  sort a comma-separated list of naturals through the
                  lambda-calculus quicksort; exit 3 on decode failure,
-                 2 on error (`lam.STEP_GUARD` beta steps exceeded and
-                 a value above `MEMO_VALUE_LIMIT` included)
+                 2 on error (`lam.STEP_GUARD` beta steps exceeded, a
+                 value above `MEMO_VALUE_LIMIT` and running out of
+                 memory included)
 
 Reports go to stdout as JSON (schema 1), diagnostics to stderr.
 """
@@ -22,6 +25,7 @@ Reports go to stdout as JSON (schema 1), diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -102,9 +106,22 @@ def _too_deep(where: str = "") -> int:
     return 2
 
 
+def _out_of_memory(exc: MemoryError, where: str = "") -> int:
+    """Exit status 2 for running out of memory.  The traceback's frames
+    hold the manager that filled memory, and its operations' closures
+    form cycles; dropping the traceback and collecting frees it, so that
+    the message can be printed."""
+    exc.__traceback__ = None
+    gc.collect()
+    print(f"error: {where}out of memory", file=sys.stderr)
+    return 2
+
+
 def cmd_taut(args) -> int:
     try:
         report = _check(*_taut_formula(args))
+    except MemoryError as exc:  # first: matching it allocates nothing
+        return _out_of_memory(exc)
     except (fm.FormulaError, MemoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -124,6 +141,8 @@ def cmd_bench(args) -> int:
         where = f"{args.suite}({size}): "
         try:
             r = _check(f"bench {args.suite} --size {size}", generate(size))
+        except MemoryError as exc:
+            return _out_of_memory(exc, where)
         except (fm.FormulaError, MemoError) as exc:
             print(f"error: {where}{exc}", file=sys.stderr)
             return 2
@@ -188,6 +207,8 @@ def cmd_lambda_sort(args) -> int:
                          "allocations": mgr.pool.stats().intern_misses}
             return lam.decode_list(mgr, out), extra
         sorted_values, extra = lam.run_deep(run)
+    except MemoryError as exc:
+        return _out_of_memory(exc)
     except lam.ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -101,13 +101,5 @@ class Pool:
                 dups.append((first, uid))
         return dups
 
-    def _inject_duplicate(self, uid: int) -> int:
-        """Test-only backdoor: store a second copy of an existing
-        payload under a fresh id, bypassing the fwd table."""
-        p = self.resolve(uid)
-        n = len(self.back)
-        self.back.append(p)
-        return n
-
     def __len__(self) -> int:
         return len(self.back)

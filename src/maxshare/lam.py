@@ -6,11 +6,12 @@ one flat `(tag, x, y)` tuple: `(VAR_TAG, i, 0)` for the variable `i`,
 `(APP_TAG, f, a)` for an application and `(ABS_TAG, b, 0)` for an
 abstraction, so every operation unpacks `tag, x, y = nodes[t]`.  The
 four term operations (lift, subst, head normal form, normal form) are
-memoized on identifier-based keys through `memo_fix`, each in its own
-`MemoTable`, or in a `ForgetfulTable` with memoization off, so both
-modes run the same code.  Reduction is normal order (leftmost-outermost),
-which is what lets the fixed-point combinator in the quicksort benchmark
-normalize.
+memoized through `memo_fix`, each in its own `MemoTable`, or in a
+`ForgetfulTable` with memoization off, so both modes run the same code.
+`hnf` and `nf` key their tables on the term's id itself, `lifti` and
+`subst` on tuples of ids and indices.  Reduction is normal order
+(leftmost-outermost), which is what lets the fixed-point combinator in
+the quicksort benchmark normalize.
 
 Every node also carries its free-variable bound `bound(t)`: the smallest
 `n` such that every free de Bruijn index of `t` is below `n` (0 for a
@@ -33,12 +34,11 @@ from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import asdict
 from typing import Callable, Sequence
 
 from .intern import Pool
-from .memo import (DepthExceededError, ForgetfulTable, MemoTable, memo_fix,
-                   table_stats)
+from .memo import (DepthExceededError, ForgetfulTable, MemoTable,
+                   manager_stats, memo_fix)
 
 VAR_TAG = 0
 APP_TAG = 1
@@ -240,33 +240,31 @@ class LambdaManager:
                 )
             return subst(u, 0, w)
 
-        def hnf_body(recurse, key):
-            (t,) = key
+        def hnf_body(recurse, t):
             tag, f, u = nodes[t]
             if tag == VAR_TAG:
                 return t
             if tag == ABS_TAG:
-                return abs_(recurse((f,)))
-            h = recurse((f,))
+                return abs_(recurse(f))
+            h = recurse(f)
             htag, hb, _ = nodes[h]
             if htag == ABS_TAG:
-                return recurse((beta(u, hb),))
+                return recurse(beta(u, hb))
             return app(h, u)
 
         self._hnf = memo_fix(hnf_body, self.m_hnf)
 
-        def nf_body(recurse, key):
-            (t,) = key
+        def nf_body(recurse, t):
             tag, f, u = nodes[t]
             if tag == VAR_TAG:
                 return t
             if tag == ABS_TAG:
-                return abs_(recurse((f,)))
-            h = self._hnf((f,))
+                return abs_(recurse(f))
+            h = self._hnf(f)
             htag, hb, _ = nodes[h]
             if htag == ABS_TAG:
-                return recurse((beta(u, hb),))
-            return app(recurse((h,)), recurse((u,)))
+                return recurse(beta(u, hb))
+            return app(recurse(h), recurse(u))
 
         self._nf = memo_fix(nf_body, self.m_nf)
 
@@ -289,7 +287,7 @@ class LambdaManager:
     def _guarded(self, fix, t: int) -> int:
         self.pool.resolve(t)
         self._steps = 0
-        return fix((t,))
+        return fix(t)
 
     def hnf(self, t: int) -> int:
         """Head normal form under normal-order reduction."""
@@ -307,10 +305,9 @@ class LambdaManager:
     def stats(self) -> dict[str, dict]:
         """Pool counters and each memo table's hits, misses and body
         evaluations, as the `pool_stats` and `memo_stats` of a report."""
-        return {"pool_stats": asdict(self.pool.stats()),
-                "memo_stats": table_stats({
-                    "lifti": self.m_lifti, "subst": self.m_subst,
-                    "hnf": self.m_hnf, "nf": self.m_nf})}
+        return manager_stats(self.pool, {
+            "lifti": self.m_lifti, "subst": self.m_subst,
+            "hnf": self.m_hnf, "nf": self.m_nf})
 
 
 # -- plain reference normalizer --------------------------------------------

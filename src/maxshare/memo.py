@@ -1,7 +1,9 @@
 """Memoization tables and a memoizing fixpoint combinator.
 
-A `MemoTable` is a dict from key tuples (identifiers and small scalars)
-to result values, with hit, miss and body-evaluation counters.  An
+A `MemoTable` is a dict from keys to result values, with hit, miss and
+body-evaluation counters.  A key is an identifier (the operand of a
+one-operand operation: an int hashes and compares faster than a
+one-element tuple) or a tuple of identifiers and small scalars.  An
 entry, once written, is never rebound to a different value; attempting
 to do so signals an impure memoized function.  Tables persist across
 top-level calls (conservative lifetime).  `ForgetfulTable` stores
@@ -20,9 +22,10 @@ normalizer bounds its beta steps with `DepthExceededError`.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Callable, Mapping
 
-MemoKey = tuple
+MemoKey = int | tuple
 
 
 class MemoError(Exception):
@@ -78,11 +81,14 @@ class ForgetfulTable(MemoTable):
         return value
 
 
-def table_stats(tables: Mapping[str, MemoTable]) -> dict[str, dict[str, int]]:
-    """Hits, misses and body evaluations of each named table."""
-    return {name: {"hits": t.hits, "misses": t.misses,
-                   "body_evaluations": t.body_evaluations}
-            for name, t in tables.items()}
+def manager_stats(pool, tables: Mapping[str, MemoTable]) -> dict[str, dict]:
+    """A manager's `pool_stats` (the fields of `pool.stats()`) and the
+    hits, misses and body evaluations of each named table as its
+    `memo_stats`, as a report carries them."""
+    return {"pool_stats": asdict(pool.stats()),
+            "memo_stats": {name: {"hits": t.hits, "misses": t.misses,
+                                  "body_evaluations": t.body_evaluations}
+                           for name, t in tables.items()}}
 
 
 def memo_fix(

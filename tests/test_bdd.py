@@ -177,20 +177,17 @@ def test_ite_terminal_cases():
     assert mgr.mk_ite(c, TRUE, FALSE) == c
 
 
-def test_ite_agrees_with_binary_construction():
+def test_ite_agrees_with_eval():
     rng = random.Random(4)
     mgr = BddManager()
     for _ in range(200):
         c = compile_formula(mgr, random_formula(rng, 6, 3))
         t = compile_formula(mgr, random_formula(rng, 6, 3))
         e = compile_formula(mgr, random_formula(rng, 6, 3))
-        direct = mgr.mk_ite(c, t, e)
-        composed = mgr.apply2(
-            "or",
-            mgr.apply2("and", c, t),
-            mgr.apply2("and", mgr.mk_not(c), e),
-        )
-        assert direct == composed
+        r = mgr.mk_ite(c, t, e)
+        for env in all_envs(6):
+            assert mgr.eval(r, env) == (mgr.eval(t, env) if mgr.eval(c, env)
+                                        else mgr.eval(e, env))
 
 
 # -- eval / is_tautology / node_count --------------------------------------
@@ -324,10 +321,12 @@ def _counters(mgr):
     s = mgr.pool.stats()
     tables = {name: (len(t), t.hits)
               for name, t in (("and", mgr.m_and), ("or", mgr.m_or),
-                              ("xor", mgr.m_xor), ("not", mgr.m_not),
-                              ("ite", mgr.m_ite)) if len(t)}
-    for t in (mgr.m_and, mgr.m_or, mgr.m_xor, mgr.m_not, mgr.m_ite):
+                              ("xor", mgr.m_xor), ("not", mgr.m_not))
+              if len(t)}
+    for t in (mgr.m_and, mgr.m_or, mgr.m_xor, mgr.m_not):
         assert t.body_evaluations == t.misses == len(t)
+    # a one-operand table is keyed on the id itself, not a 1-tuple
+    assert all(type(k) is int for k in mgr.m_not)
     return s.node_count, s.intern_hits, tables
 
 

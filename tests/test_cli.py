@@ -52,6 +52,43 @@ def test_taut_range_error_exit_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag, limit", [
+    ("--urquhart", fm.URQUHART_LIMIT), ("--pigeonhole", fm.PIGEONHOLE_LIMIT),
+], ids=["urquhart", "pigeonhole"])
+@pytest.mark.parametrize("size", [-1, 0, "limit+1", 10**11],
+                         ids=["-1", "0", "limit+1", "10**11"])
+def test_taut_generator_size_out_of_range_exit_two(capsys, flag, limit,
+                                                   size):
+    # a size past the limit is refused before the formula is built, not
+    # left to end in a MemoryError
+    size = limit + 1 if size == "limit+1" else size
+    code, out, err = run_cli(capsys, "taut", flag, str(size))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _raise_memory_error(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv", [
+    ["taut", "--urquhart", "3"],
+    ["bench", "pigeonhole", "--max", "2"],
+    ["lambda-sort", "--list", "2,1,0"],
+], ids=["taut", "bench", "lambda-sort"])
+def test_out_of_memory_exit_two(capsys, monkeypatch, argv):
+    # running out of memory is an engine error (2), never "not a
+    # tautology" (1)
+    monkeypatch.setattr(fm, "compile", _raise_memory_error)
+    monkeypatch.setattr(lam.LambdaManager, "nf", _raise_memory_error)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "out of memory" in err
+    assert "Traceback" not in err
+
+
 def test_taut_parse_error_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.bf"
     path.write_text("x1 &&& x2\n")

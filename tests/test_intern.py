@@ -58,11 +58,18 @@ def test_scan_duplicates_empty_after_interning():
     assert pool.scan_duplicates() == []
 
 
+def inject_duplicate(pool, uid):
+    """Store a second copy of an existing payload under a fresh id,
+    bypassing intern: the sharing violation `scan_duplicates` detects."""
+    pool.back.append(pool.resolve(uid))
+    return len(pool) - 1
+
+
 def test_scan_duplicates_finds_injected_copy():
     pool = Pool()
     a = pool.intern(leaf(1))
     pool.intern(leaf(2))
-    copy = pool._inject_duplicate(a)
+    copy = inject_duplicate(pool, a)
     assert pool.scan_duplicates() == [(a, copy)]
 
 

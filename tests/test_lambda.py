@@ -380,6 +380,9 @@ def test_quicksort_reverse_ten_counters():
     assert len(m.m_hnf) == 4590
     assert len(m.m_subst) == 6983
     assert len(m.m_lifti) == 425
+    # the one-operand tables are keyed on the term's id itself
+    assert all(type(k) is int for k in m.m_hnf)
+    assert all(type(k) is int for k in m.m_nf) and len(m.m_nf) > 0
 
 
 # -- run_deep --------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_table_persists_across_calls():
 def _bdd_run(memo):
     mgr = BddManager(memo_enabled=memo)
     r = compile_formula(mgr, pigeonhole(3))
-    return r, mgr, [mgr.m_and, mgr.m_or, mgr.m_xor, mgr.m_not, mgr.m_ite]
+    return r, mgr, [mgr.m_and, mgr.m_or, mgr.m_xor, mgr.m_not]
 
 
 def _lambda_run(memo):
