@@ -2,40 +2,34 @@
 
 Diagrams are canonical by construction: nodes are interned, the
 reduction rule (low == high collapses) is applied before every intern,
-and the variable order is the numeric order on variable
-indices with the smallest index at the root.  Equality of functions is
-therefore identifier equality, and tautology checking is a comparison
-against the TRUE leaf.
+and variables are ordered by index, the smallest at the root.  Equality
+of functions is therefore identifier equality, and tautology checking
+is a comparison against the TRUE leaf.
 
 Each node is one flat `(var, low, high)` tuple: the same object is the
 pool's unique-table key and its stored node.  The leaves are
 preallocated as `(LEAF_VAR, 0, 0)` (FALSE, id 0) and `(LEAF_VAR, 1, 1)`
 (TRUE, id 1), so `nodes[x][0]` is the head variable of any id, leaves
-included.  The pool is the unique table;
-each operation has its own memo table (the computed table), and the
-operations are built once per manager.  There are four tables, `and`,
-`or`, `xor` and `not`: `mk_ite(c, t, e)` is built as
-`or(and(c, t), and(not c, e))`, which names the same canonical diagram
-a ternary expansion would.
+included.  `and`, `or`, `xor` and `not` each have a memo table (the
+computed table); `mk_ite(c, t, e)` is `or(and(c, t), and(not c, e))`,
+the same canonical diagram a ternary expansion would name.  `and`,
+`or` and `xor` key their tables on `(min, max)`, `not` on the id.
 
-`and` and `or` are one explicit-stack machine, parametrised by the
-absorbing and the identity leaf: it applies the leaf rules and probes
-the memo table through its `get`/`setdefault`, one dict probe per pair,
-and keeps its work on lists, so their depth is bounded by memory, not
-by the recursion limit.  It visits, memoizes and interns in the order
-the recursion would, so every counter is the recursion's.  `xor` and
-`not` still recurse through `memo_fix`, two or three Python frames per
-variable level, and so does `formula.compile` per formula level:
-that is what fails `U(n)` from n = 249 up at the default limit, and
-moving it changes which sizes the benchmark's `urquhart` workload
-finishes, so it waits for that workload's re-baseline.  The commutative
-`and`, `or` and `xor` key their tables on `(min, max)`, and `not` on the
-id itself.
+`and` and `or` are one explicit-stack machine that visits, memoizes and
+interns in the recursion's order, so every counter is the recursion's.
+`xor` and `not` still recurse through `memo_fix`, two or three frames
+per variable level, and so does `formula.compile` per formula level:
+that fails `U(n)` from n = 249 up at the default limit, and lifting it
+waits for the benchmark's `urquhart` re-baseline.
 
 Ids and ops are checked once, at the public entry points (`apply2`,
 `mk_not`, `mk_ite`, `mk_node`, `node`, `head_var`, `eval`, `sat_one`,
-`node_count`); internal steps read the nodes of ids the pool issued
-directly.
+`is_tautology`, `node_count`).  Below them run the steps that
+`BddManager.unchecked` maps "and", "or", "xor" and "not" to, which read
+the nodes of the ids they are given straight from the pool.
+`formula.compile`, whose ids all come from one manager and which checks
+each variable index before it interns its node, is the one caller in
+the package of those steps.
 """
 
 from __future__ import annotations
@@ -245,9 +239,8 @@ class BddManager:
 
         not_fix = memo_fix(not_body, self.m_not)
 
-        self._binary_steps = {"and": and_step, "or": or_step,
-                              "xor": xor_step}
-        self._not = not_fix
+        self.unchecked = {"and": and_step, "or": or_step, "xor": xor_step,
+                          "not": not_fix}
 
     def apply2(self, op: str, a: int, b: int) -> int:
         """Canonical BDD of the pointwise boolean combination.
@@ -256,17 +249,16 @@ class BddManager:
         rules cut the recursion short before touching the memo table, so
         the table only ever holds node/node pairs.
         """
-        step = self._binary_steps.get(op)
-        if step is None:
+        if op == "not" or op not in self.unchecked:
             raise BddError(f"unknown operation {op!r}")
         self.pool.resolve(a)
         self.pool.resolve(b)
-        return step(a, b)
+        return self.unchecked[op](a, b)
 
     def mk_not(self, a: int) -> int:
         """Canonical complement, memoized on the identifier."""
         self.pool.resolve(a)
-        return self._not(a)
+        return self.unchecked["not"](a)
 
     def mk_ite(self, c: int, t: int, e: int) -> int:
         """If-then-else, built as (c and t) or (not c and e); diagrams
@@ -274,8 +266,8 @@ class BddManager:
         give."""
         for r in (c, t, e):
             self.pool.resolve(r)
-        step = self._binary_steps
-        return step["or"](step["and"](c, t), step["and"](self._not(c), e))
+        step = self.unchecked
+        return step["or"](step["and"](c, t), step["and"](step["not"](c), e))
 
     # -- observers -------------------------------------------------------
 

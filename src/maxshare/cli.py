@@ -11,13 +11,14 @@ Subcommands:
                  of memory included; the parser has no nesting limit)
     bench        run a benchmark suite over sizes 1..N, one record per
                  size, printed as the size finishes; exit 3 if any size
-                 is not a tautology, 2 on error, out of memory included
-                 (the `error:` line names the size)
+                 is not a tautology, 2 on error: N outside the suite's
+                 generator limit (checked first) or a failing size, out
+                 of memory included (the `error:` line names the size)
     lambda-sort  sort a comma-separated list of naturals through the
                  lambda-calculus quicksort; exit 3 on decode failure,
                  2 on error (`lam.STEP_GUARD` beta steps exceeded, a
-                 value above `MEMO_VALUE_LIMIT` and running out of
-                 memory included)
+                 value above `MEMO_VALUE_LIMIT`, no thread for the
+                 engine and running out of memory included)
 
 Reports go to stdout as JSON (schema 1), diagnostics to stderr.
 """
@@ -135,7 +136,12 @@ def cmd_taut(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    generate = fm.urquhart if args.suite == "urquhart" else fm.pigeonhole
+    generate, limit = ((fm.urquhart, fm.URQUHART_LIMIT)
+                       if args.suite == "urquhart"
+                       else (fm.pigeonhole, fm.PIGEONHOLE_LIMIT))
+    if not 1 <= args.max <= limit:  # checked before any size is built
+        print(f"error: --max must be in 1..{limit}", file=sys.stderr)
+        return 2
     all_taut = True
     for size in range(1, args.max + 1):
         where = f"{args.suite}({size}): "
@@ -212,7 +218,8 @@ def cmd_lambda_sort(args) -> int:
     except lam.ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DepthExceededError as exc:  # the step guard, an engine bound
+    except (DepthExceededError, lam.DeepStackError) as exc:
+        # the step guard, an engine bound, or no thread for the engine
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ms = (time.perf_counter() - t0) * 1000.0
@@ -264,11 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bench" and args.max < 1:
-        print("error: --max must be >= 1", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -11,12 +11,16 @@ and associativity:
 
 Variable indices are 1-based and below `bdd.LEAF_VAR` (2**32), leading
 zeros ignored; blanks are space, tab, carriage return and newline; `#`
-starts a line comment.  `parse`, `print_formula`, `eval_formula`,
-`variables` and the AST classes' `==`, `hash` and `repr` run on explicit
-stacks and have no nesting limit.  `compile` loops over `!` and recurses
-once per binary connective; it pushes negations into constants,
-variables and the left operand of `^` and `<->`, so a chain of `<->`
-builds no complement of its accumulated diagram.
+starts a line comment.  `parse` tokenizes a text in one `findall` call,
+rescans for a token's line and column only to raise an error, and
+shares variable leaves through a bounded cache from token to `Var`.
+`parse`, `print_formula`, `eval_formula`, `variables` and the AST
+classes' `==`, `hash` and `repr` run on explicit stacks and have no
+nesting limit.  `compile` loops over `!` and recurses once per binary
+connective; it pushes negations into constants, variables and the left
+operand of `^` and `<->`, so a chain of `<->` builds no complement of
+its accumulated diagram.  It calls the steps of `BddManager.unchecked`
+directly, with the probes and interns of `apply2`, `mk_not`, `mk_node`.
 """
 
 from __future__ import annotations
@@ -176,24 +180,29 @@ _SYNTAX = {cls: (symbol, level, right)
 _CONSTS = {"0": Const(False), "1": Const(True)}
 _OPEN = (None, 0, False)  # "(" on the operator stack: below every level
 
-# One match per token, blanks and comments before it skipped: group 1
-# an operator, parenthesis or constant, group 2 a variable, group 3 a
-# character outside the syntax, group 4 the (empty) end of the text.
+# One group, one token per match, blanks and comments before it skipped:
+# an operator, parenthesis or constant, a variable, a run of digits or
+# one other character (both outside the syntax), or "" at the end.
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]|#[^\n]*)*(?:("
+    r"(?:[ \t\r\n]|#[^\n]*)*("
     + "|".join(re.escape(op) for op in sorted(_OPERATORS, key=len,
                                                reverse=True))
-    + r"|[()]|[01](?!\d))|(x\d+)|(.)|(\Z))", re.DOTALL)
+    + r"|[()]|x\d+|\d+|.|\Z)", re.DOTALL)
+
+# Variable token -> its `Var`, shared by every formula parsed.  Only
+# accepted indices enter; it is emptied when it reaches the cap.
+_VARS: dict[str, Var] = {}
+_VARS_CAP = 4096
 
 
-def _where(text: str, m: re.Match) -> tuple[int, int]:
-    """Line and column where the token `m` starts."""
-    pos = m.start(m.lastindex)
+def _where(text: str, index: int) -> tuple[int, int]:
+    """Line and column where token number `index` of `text` starts."""
+    pos = next(itertools.islice(_TOKEN.finditer(text), index, None)).start(1)
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _variable(text: str, m: re.Match) -> Var:
-    digits = m[2][1:].lstrip("0")
+def _variable(text: str, index: int, tok: str) -> Var:
+    digits = tok[1:].lstrip("0")
     if not digits:
         raise RangeError("variable indices are 1-based; x0 is invalid")
     # A longer index cannot be below LEAF_VAR; int() would also reject
@@ -201,43 +210,34 @@ def _variable(text: str, m: re.Match) -> Var:
     if len(digits) > len(str(LEAF_VAR)) or int(digits) >= LEAF_VAR:
         shown = digits if len(digits) <= 20 else (
             f"{digits[:20]}... ({len(digits)} digits)")
-        line, col = _where(text, m)
+        line, col = _where(text, index)
         raise RangeError(f"{line}:{col}: variable index {shown} "
                          f"out of range (must be below {LEAF_VAR})")
-    return Var(int(digits))
+    if len(_VARS) >= _VARS_CAP:
+        _VARS.clear()
+    var = _VARS[tok] = Var(int(digits))
+    return var
 
 
 def parse(text: str) -> Formula:
     """Operator-precedence parse with explicit operand and operator
     stacks: prefix `!` and `(` wait on the operator stack, and an
     operator first reduces every stacked one that binds at least as
-    tightly (strictly tighter, if it is right-associative).  Errors
-    are reported at the first offending token in reading order."""
+    tightly (strictly tighter, if it is right-associative); `)` reduces
+    down to its `(`, and the end of the text everything.  Errors are
+    reported at the first offending token in reading order."""
+    tokens = _TOKEN.findall(text)
     out: list[Formula] = []
-    ops: list[tuple] = []
+    ops: list[tuple] = [(None, -1, 0)]  # a bottom below every level
     depth = 0              # "(" on the operator stack
     operand = True         # an operand is expected next
-
-    def reduce() -> None:
-        cls = ops.pop()[0]
-        if cls is Not:
-            out[-1] = Not(out[-1])
-        else:
-            right = out.pop()
-            out[-1] = cls(out[-1], right)
-
-    for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        tok = m[kind]
-        if kind == 3:
-            raise ParseError(f"unexpected character {tok!r}",
-                             *_where(text, m))
+    for index, tok in enumerate(tokens):
         if operand:
-            if kind == 2:
-                out.append(_variable(text, m))
-                operand = False
-            elif tok in _CONSTS:
-                out.append(_CONSTS[tok])
+            leaf = _VARS.get(tok) or _CONSTS.get(tok)
+            if leaf is None and tok[:1] == "x" and tok[1:]:
+                leaf = _variable(text, index, tok)  # not yet cached
+            if leaf is not None:
+                out.append(leaf)
                 operand = False
             elif tok == "(":
                 ops.append(_OPEN)
@@ -245,31 +245,43 @@ def parse(text: str) -> Formula:
             elif tok == "!":
                 ops.append(_OPERATORS[tok])
             else:
-                raise ParseError("expected formula, got "
-                                 f"{tok or 'end of input'!r}",
-                                 *_where(text, m))
-        elif tok in _OPERATORS and tok != "!":
-            cls, level, right = entry = _OPERATORS[tok]
-            stop = level + 1 if right else level
-            while ops and ops[-1][1] >= stop:
-                reduce()
+                break
+            continue
+        entry = _OPERATORS.get(tok)
+        if entry is not None and tok != "!":  # reduce levels >= stop
+            stop = entry[1] + entry[2]
+        elif tok == ")" and depth:
+            stop = 1
+        elif depth or tok:
+            break
+        else:
+            stop = 0
+        while ops[-1][1] >= stop:
+            cls = ops.pop()[0]
+            if cls is Not:
+                out[-1] = Not(out[-1])
+            else:
+                right = out.pop()
+                out[-1] = cls(out[-1], right)
+        if entry is not None:
             ops.append(entry)
             operand = True
-        elif tok == ")" and depth:
-            while ops[-1] is not _OPEN:
-                reduce()
+        elif tok:
             ops.pop()
             depth -= 1
-        elif depth:
-            raise ParseError(f"expected ')', got {tok or 'end of input'!r}",
-                             *_where(text, m))
-        elif tok:
-            raise ParseError(f"trailing input {tok!r}", *_where(text, m))
         else:
-            while ops:
-                reduce()
             return out[0]
-    raise AssertionError("the scanner ends with an end-of-text match")
+    # token number `index`, `tok`, does not fit here
+    if tok and tok not in _OPERATORS and tok not in ("(", ")") \
+            and tok not in _CONSTS and not (tok[0] == "x" and tok[1:]):
+        message = f"unexpected character {tok[0]!r}"
+    elif operand:
+        message = f"expected formula, got {tok or 'end of input'!r}"
+    elif depth:
+        message = f"expected ')', got {tok or 'end of input'!r}"
+    else:
+        message = f"trailing input {tok!r}"
+    raise ParseError(message, *_where(text, index))
 
 
 def print_formula(f: Formula) -> str:
@@ -383,9 +395,11 @@ def compile(mgr: BddManager, f: Formula) -> int:
     loop.  A constant or variable builds its complement directly.  `^`
     and `<->` pass the flag to their left operand, since not(a ^ b) is
     (!a ^ b) and (a <-> b) is (!a ^ b).  `&`, `|` and `->` (built as
-    (!a | b)) take one `mk_not` of their own result when the flag is
-    set.  Recurses once per binary connective."""
-    mk_node, apply2, mk_not = mgr.mk_node, mgr.apply2, mgr.mk_not
+    (!a | b)) take one `not` of their own result when the flag is set.
+    Recurses once per binary connective.  Every id comes from `mgr`, so
+    its unchecked steps are called directly."""
+    steps = mgr.unchecked
+    xor, not_, intern = steps["xor"], steps["not"], mgr.pool.intern
 
     def build(f: Formula, negated: bool) -> int:
         while type(f) is Not:
@@ -393,21 +407,20 @@ def compile(mgr: BddManager, f: Formula) -> int:
             negated = not negated
         kind = type(f)
         if kind is Var:
-            if not (1 <= f.index < LEAF_VAR):
-                raise RangeError(f"variable index {f.index} out of range")
-            if negated:
-                return mk_node(TRUE, f.index, FALSE)
-            return mk_node(FALSE, f.index, TRUE)
+            i = f.index
+            if not (1 <= i < LEAF_VAR):
+                raise RangeError(f"variable index {i} out of range")
+            return intern((i, TRUE, FALSE) if negated else (i, FALSE, TRUE))
         if kind is Const:
             return TRUE if bool(f.value) != negated else FALSE
         if kind is Xor or kind is Iff:
-            return apply2("xor", build(f.left, negated != (kind is Iff)),
-                          build(f.right, False))
+            return xor(build(f.left, negated != (kind is Iff)),
+                       build(f.right, False))
         if kind not in _AND_OR:
             raise FormulaError(f"not a formula: {f!r}")
         op, left_negated = _AND_OR[kind]
-        r = apply2(op, build(f.left, left_negated), build(f.right, False))
-        return mk_not(r) if negated else r
+        r = steps[op](build(f.left, left_negated), build(f.right, False))
+        return not_(r) if negated else r
 
     return build(f, False)
 
@@ -448,11 +461,7 @@ def urquhart(n: int) -> Formula:
     """Right-nested chain of 2n-1 iffs over x1..xn, x1..xn."""
     if not 1 <= n <= URQUHART_LIMIT:
         raise RangeError(f"urquhart size must be in 1..{URQUHART_LIMIT}")
-    seq = list(range(1, n + 1)) * 2
-    acc: Formula = Var(seq[-1])
-    for v in reversed(seq[:-1]):
-        acc = Iff(Var(v), acc)
-    return acc
+    return _fold(Iff, [Var(v) for v in list(range(1, n + 1)) * 2])
 
 
 def _fold(cls, fs: list[Formula]) -> Formula:

@@ -58,6 +58,10 @@ class ShapeError(LambdaError):
     """Decoder applied to a term that is not the expected encoding."""
 
 
+class DeepStackError(LambdaError):
+    """`run_deep` could not start its worker thread."""
+
+
 # `run_deep` changes two process-wide settings: the thread stack size,
 # which Thread.start reads, and the recursion limit, which every thread
 # reads.  One lock orders the changes of concurrent callers; the limit
@@ -71,8 +75,8 @@ def run_deep(fn: Callable, *args, stack_bytes: int = DEEP_STACK_BYTES,
              recursion_limit: int = DEEP_RECURSION_LIMIT):
     """Run `fn(*args)` on a worker thread with a big stack and a
     recursion limit of at least `recursion_limit`, returning its result
-    or re-raising its exception.  Safe to call from several threads at
-    once."""
+    or re-raising its exception; `DeepStackError` if the thread cannot
+    start.  Safe to call from several threads at once."""
     global _deep_callers, _saved_recursion_limit
     box: dict = {}
 
@@ -94,6 +98,8 @@ def run_deep(fn: Callable, *args, stack_bytes: int = DEEP_STACK_BYTES,
             old_size = threading.stack_size(stack_bytes)
             try:
                 t.start()
+            except RuntimeError as exc:  # e.g. under an address-space cap
+                raise DeepStackError(f"engine thread: {exc}") from None
             finally:
                 threading.stack_size(old_size)
         t.join()

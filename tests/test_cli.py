@@ -1,6 +1,7 @@
 import inspect
 import json
 import sys
+import threading
 
 import hypothesis.strategies as st
 import pytest
@@ -239,6 +240,24 @@ def test_bench_max_zero(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite, limit", [
+    ("urquhart", fm.URQUHART_LIMIT), ("pigeonhole", fm.PIGEONHOLE_LIMIT),
+])
+@pytest.mark.parametrize("past", [1, 10**6])
+def test_bench_max_past_the_generator_limit_exit_two(capsys, monkeypatch,
+                                                     suite, limit, past):
+    # checked before any size is built: P(9), P(10), ... would each take
+    # about three times the memory of the last
+    def generate(size):
+        raise AssertionError(f"built size {size}")
+    monkeypatch.setattr(fm, suite, generate)
+    code, out, err = run_cli(capsys, "bench", suite, "--max",
+                             str(limit + past))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --max must be in 1..{limit}\n"
+
+
 def test_lambda_sort(capsys):
     code, out, _ = run_cli(capsys, "lambda-sort", "--list", "0,3,5,2,4,1")
     assert code == 0
@@ -296,6 +315,20 @@ def test_lambda_sort_step_guard_exit_two(capsys, monkeypatch, flags):
     assert code == 2
     assert out == ""
     assert err == "error: exceeded 100 reduction steps\n"
+
+
+def test_lambda_sort_thread_start_failure_exit_two(capsys, monkeypatch):
+    # under an address-space cap the big-stack worker cannot start
+    def start(self):
+        raise RuntimeError("can't start new thread")
+    monkeypatch.setattr(threading.Thread, "start", start)
+    limit = sys.getrecursionlimit()
+    code, out, err = run_cli(capsys, "lambda-sort", "--list", "2,1,0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: engine thread: can't start new thread\n"
+    assert "Traceback" not in err
+    assert sys.getrecursionlimit() == limit
 
 
 def test_lambda_sort_malformed_list(capsys):

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formula_spec
 from conftest import equivalent_variant, formulas, random_formula
+from maxshare import formula
 from maxshare.bdd import (
     FALSE, LEAF_VAR, TRUE, BddManager, UnboundVariableError,
 )
 from maxshare.formula import (
     And,
     Const,
+    FormulaError,
     Iff,
     Implies,
     Not,
@@ -110,6 +113,81 @@ def test_parse_error_positions(text, line, column, message):
         parse(text)
     assert (exc.value.line, exc.value.column) == (line, column)
     assert str(exc.value) == f"{line}:{column}: {message}"
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    # a character outside the syntax where an operator is expected
+    ("(x1\n  $)", 2, 3, "unexpected character '$'"),
+    ("x1 01", 1, 4, "unexpected character '0'"),
+    # a constant after an operand inside parentheses
+    ("(x1 1)", 1, 5, "expected ')', got '1'"),
+    ("()", 1, 2, "expected formula, got ')'"),
+    ("x1 !x2", 1, 4, "trailing input '!'"),
+])
+def test_parse_error_positions_of_the_other_branches(text, line, column,
+                                                      message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"{line}:{column}: {message}"
+
+
+def test_parse_range_error_position():
+    with pytest.raises(RangeError) as exc:
+        parse("x1 &\n  x4294967296")
+    assert str(exc.value) == (f"2:3: variable index {LEAF_VAR} out of "
+                              f"range (must be below {LEAF_VAR})")
+
+
+# Token soups: every kind of token, variables with leading zeros and with
+# 5,000 digits, blanks, comments and characters outside the syntax.
+_SOUP = st.one_of(
+    st.sampled_from(["!", "&", "|", "^", "->", "<->", "(", ")", "0", "1",
+                     " ", "\t", "\r", "\n", "# note\n", "#", "$",
+                     "\u00b2", "\u0661", "-", "<", "x", "y", "7",
+                     "x" + "9" * 5000, "x" + "0" * 5000 + "1"]),
+    st.builds(lambda zeros, index: "x" + "0" * zeros + str(index),
+              st.integers(0, 3), st.integers(0, 2 * LEAF_VAR)),
+)
+
+
+def _outcome(parse_fn, text):
+    """The AST, or the exception's class, message and position."""
+    try:
+        return parse_fn(text)
+    except (ParseError, RangeError) as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_SOUP, max_size=30).map("".join),
+                 formulas(max_vars=12).map(print_formula)))
+def test_parse_conforms_to_the_spec(text):
+    # the spec is the one-match-per-token scanner `parse` replaced
+    assert _outcome(parse, text) == _outcome(formula_spec.parse, text)
+
+
+def test_parse_shares_variable_leaves():
+    f = parse("x3 & x3")
+    assert f.left is f.right
+    assert parse("x3") is f.left
+
+
+def test_variable_cache_is_bounded():
+    cap = formula._VARS_CAP
+    text = " & ".join(f"x{i}" for i in range(1, cap + 100))
+    assert variables(parse(text)) == set(range(1, cap + 100))
+    assert len(formula._VARS) <= cap
+    assert parse("x5 | x5") == Or(Var(5), Var(5))
+
+
+def test_variable_cache_holds_only_accepted_indices():
+    for token in ("x0", "x000", f"x{LEAF_VAR}", "x" + "9" * 5000):
+        with pytest.raises(RangeError):
+            parse(f"x1 & {token}")
+        assert token not in formula._VARS
+    assert formula._VARS["x1"] == Var(1)
 
 
 def _nested_not(count, f):
@@ -277,6 +355,38 @@ def test_compile_pushes_negation(memo, f, extra):
     for env in all_envs(4):
         assert mgr.eval(r, env) is eval_formula(f, env)
         assert mgr.eval(rn, env) is not eval_formula(f, env)
+
+
+def _tables(mgr):
+    return {name: (dict(t), t.hits, t.misses, t.body_evaluations)
+            for name, t in (("and", mgr.m_and), ("or", mgr.m_or),
+                            ("xor", mgr.m_xor), ("not", mgr.m_not))}
+
+
+@pytest.mark.parametrize("memo", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(fs=st.lists(formulas(max_vars=5), min_size=1, max_size=6))
+def test_compile_conforms_to_the_spec(memo, fs):
+    # the spec builds through the checking mk_node/apply2/mk_not; the
+    # same formulas into one fresh manager each give the same ids, the
+    # same pool and the same entries and counters in every table
+    mgr, spec = BddManager(memo_enabled=memo), BddManager(memo_enabled=memo)
+    assert ([compile(mgr, f) for f in fs]
+            == [formula_spec.compile(spec, f) for f in fs])
+    assert mgr.pool.back == spec.pool.back
+    assert mgr.stats() == spec.stats()
+    assert _tables(mgr) == _tables(spec)
+
+
+@pytest.mark.parametrize("f, error", [
+    (Var(0), RangeError), (Not(Var(LEAF_VAR)), RangeError),
+    (And(Var(1), Var(-3)), RangeError), ("x1", FormulaError),
+    (Or(Var(1), None), FormulaError), (Not(3), FormulaError),
+])
+def test_compile_rejects_what_the_spec_rejects(f, error):
+    for compile_fn in (compile, formula_spec.compile):
+        with pytest.raises(error):
+            compile_fn(BddManager(), f)
 
 
 def test_equivalent_formulas_compile_to_same_id():

@@ -11,6 +11,7 @@ from maxshare.lam import (
     ABS_TAG,
     APP_TAG,
     VAR_TAG,
+    DeepStackError,
     LambdaManager,
     PlainNormalizer,
     ShapeError,
@@ -434,3 +435,15 @@ def test_run_deep_two_concurrent_callers():
     assert results == {"first": depth, "second": depth}
     assert threading.stack_size() == 0
     assert sys.getrecursionlimit() == old_limit
+
+
+def test_run_deep_thread_start_failure_is_typed(monkeypatch):
+    # both process-wide settings are restored on the failure path too
+    def start(self):
+        raise RuntimeError("can't start new thread")
+    monkeypatch.setattr(threading.Thread, "start", start)
+    old_limit = sys.getrecursionlimit()
+    with pytest.raises(DeepStackError, match="can't start new thread"):
+        run_deep(lambda: 1, recursion_limit=old_limit + 1000)
+    assert sys.getrecursionlimit() == old_limit
+    assert threading.stack_size() == 0
