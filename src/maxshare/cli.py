@@ -17,8 +17,8 @@ Subcommands:
     lambda-sort  sort a comma-separated list of naturals through the
                  lambda-calculus quicksort; exit 3 on decode failure,
                  2 on error (`lam.STEP_GUARD` beta steps exceeded, a
-                 value above `MEMO_VALUE_LIMIT`, no thread for the
-                 engine and running out of memory included)
+                 value above `MEMO_VALUE_LIMIT`, no thread for
+                 `--no-memo` and running out of memory included)
 
 Reports go to stdout as JSON (schema 1), diagnostics to stderr.
 """
@@ -212,14 +212,14 @@ def cmd_lambda_sort(args) -> int:
                 extra = {"reduction_steps": mgr.reduction_steps,
                          "allocations": mgr.pool.stats().intern_misses}
             return lam.decode_list(mgr, out), extra
-        sorted_values, extra = lam.run_deep(run)
+        sorted_values, extra = lam.run_deep(run) if args.no_memo else run()
     except MemoryError as exc:
         return _out_of_memory(exc)
     except lam.ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (DepthExceededError, lam.DeepStackError) as exc:
-        # the step guard, an engine bound, or no thread for the engine
+        # the step guard, an engine bound, or no thread for the baseline
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ms = (time.perf_counter() - t0) * 1000.0

@@ -38,9 +38,11 @@ class Pool:
 
     `fwd` maps payloads to identifiers, `back` is the inverse table
     indexed by identifier, and `len(pool)` (== len(back)) is the next
-    fresh identifier.  `back` is public for engines that read ids they
-    were issued without `resolve`'s bounds check; only `intern` writes
-    it.
+    fresh identifier.  Both are public: engines read the ids they were
+    issued from `back` without `resolve`'s bounds check, and an engine
+    may intern inline, as the lambda machines do, if it probes `fwd`
+    first and on a miss sets `fwd[p] = len(back)` and appends `p` to
+    `back`, or else adds 1 to `hits`.  Nothing else writes them.
     Clients may reserve fixed identifiers (e.g. BDD leaves) by passing
     `preallocated` payloads; those get ids 0, 1, ... in order, before
     any intern call.
@@ -50,26 +52,23 @@ class Pool:
 
     def __init__(self, preallocated: Iterable[tuple] = ()) -> None:
         self.back: list[tuple] = []
-        self._fwd: dict[tuple, int] = {}
-        self._hits = 0
-        self._misses = 0
+        self.fwd: dict[tuple, int] = {}
+        self.hits = 0
         for p in preallocated:
-            uid = len(self.back)
+            self.fwd[p] = len(self.back)
             self.back.append(p)
-            self._fwd[p] = uid
+        self._preallocated = len(self.back)
 
     def intern(self, p: tuple) -> int:
         """Return the identifier of `p`, allocating a fresh one iff no
         structurally equal payload is already present.  `p` is stored
         as given."""
-        existing = self._fwd.get(p)
+        existing = self.fwd.get(p)
         if existing is not None:
-            self._hits += 1
+            self.hits += 1
             return existing
-        n = len(self.back)
+        n = self.fwd[p] = len(self.back)
         self.back.append(p)
-        self._fwd[p] = n
-        self._misses += 1
         return n
 
     def resolve(self, uid: int) -> tuple:
@@ -83,8 +82,8 @@ class Pool:
     def stats(self) -> PoolStats:
         return PoolStats(
             node_count=len(self.back),
-            intern_hits=self._hits,
-            intern_misses=self._misses,
+            intern_hits=self.hits,
+            intern_misses=len(self.back) - self._preallocated,
         )
 
     def scan_duplicates(self) -> list[tuple[int, int]]:

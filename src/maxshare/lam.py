@@ -5,11 +5,12 @@ identifier and term equality is identifier comparison.  Each node is
 one flat `(tag, x, y)` tuple: `(VAR_TAG, i, 0)` for the variable `i`,
 `(APP_TAG, f, a)` for an application and `(ABS_TAG, b, 0)` for an
 abstraction, so every operation unpacks `tag, x, y = nodes[t]`.  The
-four term operations (lift, subst, head normal form, normal form) are
-memoized through `memo_fix`, each in its own `MemoTable`, or in a
-`ForgetfulTable` with memoization off, so both modes run the same code.
-`hnf` and `nf` key their tables on the term's id itself, `lifti` and
-`subst` on tuples of ids and indices.  Reduction is normal order
+four term operations (lift, subst, head normal form, normal form) run
+on two explicit-stack machines, each operation memoized in its own
+`MemoTable`, or in a `ForgetfulTable` with memoization off, so both
+modes run the same code.  `hnf` and `nf` key their tables on the term's
+id itself, `lifti` and `subst` on `(p, c, t)`: the shift or substituted
+term, the cut and the term.  Reduction is normal order
 (leftmost-outermost), which is what lets the fixed-point combinator in
 the quicksort benchmark normalize.
 
@@ -19,13 +20,14 @@ closed term).  It is computed once, in O(1) from the children, when the
 node is first interned: `var i` has `i + 1`, `app f a` has
 `max(bound f, bound a)` and `abs b` has `max(bound b - 1, 0)`.  With it
 `subst(w, n, t)` and `lifti(n, t, k)` return `t` itself when `bound(t)`
-is at or below the cut (`n`, resp. `k`), without a memo lookup, a
-recursive call or a pool intern; the memoized bodies only ever see
-subterms with a free index at or above the cut.  `lifti` by `n == 0`
-(what `subst` at cut 0 asks for) is the identity and returns `t` the
-same way.
+is at or below the cut (`n`, resp. `k`), without a memo lookup or a
+pool intern; the memoized work only ever sees subterms with a free
+index at or above the cut.  `lifti` by `n == 0` (what `subst` at cut 0
+asks for) is the identity and returns `t` the same way.
 
-Normalization of non-trivial terms recurses deeply; run top-level calls
+The machines use no Python stack in proportion to the term, so the
+memoized operations run on any thread.  The unshared oracle below
+(`PlainNormalizer`, `to_plain`, `from_plain`) still recurses: run it
 through `run_deep` (a worker thread with a large stack and a raised
 recursion limit) when the input is not known to be small.
 """
@@ -37,14 +39,17 @@ import threading
 from typing import Callable, Sequence
 
 from .intern import Pool
-from .memo import (DepthExceededError, ForgetfulTable, MemoTable,
-                   manager_stats, memo_fix)
+from .memo import (DepthExceededError, ForgetfulTable, MemoContractError,
+                   MemoTable, manager_stats)
 
 VAR_TAG = 0
 APP_TAG = 1
 ABS_TAG = 2
 
 STEP_GUARD = 10_000_000  # beta steps per hnf/nf call; read at each step
+
+# Work-item kinds of the hnf/nf machine (which pushes a term's own tag)
+ABS, HEAD, TAIL, ARG, APP = ABS_TAG, APP_TAG, 3, 4, 5
 
 DEEP_STACK_BYTES = 1 << 29
 DEEP_RECURSION_LIMIT = 3_000_000
@@ -173,70 +178,120 @@ class LambdaManager:
     # -- operations ------------------------------------------------------
     #
     # Ids are checked once, at the public `lifti`/`lift`/`subst`/`hnf`/
-    # `nf`/`bound`; the bodies below read the nodes of ids the pool
-    # issued straight from `pool.back`.  The memoized lifti/subst bodies
-    # are entered only for a term whose bound is above the cut; every
-    # call on a child re-tests the bound first.  Under an abstraction the
-    # test is implied (bound(abs b) > c means bound(b) > c + 1), so only
-    # application children are tested.
+    # `nf`/`bound`.  Below them, two explicit-stack machines read nodes
+    # straight from `pool.back`, and `app`/`abs_` probe `pool.fwd`
+    # themselves.  A machine visits, memoizes and interns in the order of
+    # the recursion it replaces (left child first), so every counter is
+    # that recursion's, and adds its hits, misses and stored entries to
+    # its table when it returns or raises.  Each runs the others at most
+    # one level deep: nf runs hnf, hnf subst, and subst lifti.
 
     def _build_fixers(self) -> None:
         bound = self._bound
-        nodes = self.pool.back
-        intern = self.pool.intern
+        pool = self.pool
+        nodes, fwd = pool.back, pool.fwd
         mk_var = self.mk_var
 
         def app(f: int, a: int) -> int:
-            uid = intern((APP_TAG, f, a))
-            if uid == len(bound):
+            p = (APP_TAG, f, a)
+            uid = fwd.get(p)
+            if uid is None:
+                uid = fwd[p] = len(nodes)
+                nodes.append(p)
                 bf, ba = bound[f], bound[a]
                 bound.append(bf if bf > ba else ba)
+            else:
+                pool.hits += 1
             return uid
 
         def abs_(b: int) -> int:
-            uid = intern((ABS_TAG, b, 0))
-            if uid == len(bound):
+            p = (ABS_TAG, b, 0)
+            uid = fwd.get(p)
+            if uid is None:
+                uid = fwd[p] = len(nodes)
+                nodes.append(p)
                 bb = bound[b]
                 bound.append(bb - 1 if bb > 0 else 0)
+            else:
+                pool.hits += 1
             return uid
 
         self._app = app
         self._abs = abs_
 
-        def lifti_body(recurse, key):
-            n, t, k = key
-            tag, x, y = nodes[t]
-            if tag == VAR_TAG:
-                return mk_var(x + n)
-            if tag == ABS_TAG:
-                return abs_(recurse((n, x, k + 1)))
-            return app(x if bound[x] <= k else recurse((n, x, k)),
-                       y if bound[y] <= k else recurse((n, y, k)))
+        def shift(table: MemoTable, is_subst: bool):
+            """`lifti` (by `p`) or `subst` (of the term `p`) over keys
+            `(p, c, t)`, `c` the cut, for `t` with bound(t) > c.  Work
+            items are a right child `(c, t)` and builds under `key`:
+            `(-1, key)` an abstraction, `(-2, key)` an application from
+            the left result on `out`, `(-3, key)` a variable's result.
+            A child whose bound is at or below the cut is its own
+            result.  Under an abstraction the test is implied:
+            bound(abs b) > c means bound(b) > c + 1."""
+            get, setdefault = table.get, table.setdefault
 
-        lifti_fix = memo_fix(lifti_body, self.m_lifti)
+            def run(p: int, c: int, t: int) -> int:
+                work: list[tuple] = []
+                out: list[int] = []
+                hits = misses = evals = 0
+                try:
+                    while True:
+                        key = (p, c, t)
+                        r = get(key)  # ids are never None
+                        if r is not None:
+                            hits += 1
+                        else:
+                            misses += 1
+                            tag, x, y = nodes[t]
+                            if tag == ABS_TAG:
+                                work.append((-1, key))
+                                c += 1
+                                t = x
+                                continue
+                            if tag == APP_TAG:
+                                work.append((-2, key))
+                                work.append((c, y))
+                                if bound[x] > c:
+                                    t = x
+                                    continue
+                                r = x
+                            else:
+                                work.append((-3, key))
+                                if not is_subst:
+                                    r = mk_var(x + p)
+                                elif x != c:
+                                    r = mk_var(x - 1)
+                                else:
+                                    r = (p if c == 0 or bound[p] == 0
+                                         else lifti(c, 0, p))
+                        # r is a result: run the builds it completes
+                        while work:
+                            c, t = work.pop()
+                            if c >= 0:
+                                out.append(r)
+                                if bound[t] > c:
+                                    break
+                                r = t
+                                continue
+                            if c == -1:
+                                r = abs_(r)
+                            elif c == -2:
+                                r = app(out.pop(), r)
+                            evals += 1
+                            old = setdefault(t, r)
+                            if old != r:
+                                raise MemoContractError.rebound(t, old, r)
+                        else:
+                            return r
+                finally:
+                    table.hits += hits
+                    table.misses += misses
+                    table.body_evaluations += evals
 
-        def lifti(n: int, t: int, k: int) -> int:
-            return t if n == 0 or bound[t] <= k else lifti_fix((n, t, k))
+            return run
 
-        def subst_body(recurse, key):
-            w, n, t = key
-            tag, x, y = nodes[t]
-            if tag == VAR_TAG:
-                if x == n:
-                    return lifti(n, w, 0)
-                return mk_var(x - 1)
-            if tag == ABS_TAG:
-                return abs_(recurse((w, n + 1, x)))
-            return app(x if bound[x] <= n else recurse((w, n, x)),
-                       y if bound[y] <= n else recurse((w, n, y)))
-
-        subst_fix = memo_fix(subst_body, self.m_subst)
-
-        def subst(w: int, n: int, t: int) -> int:
-            return t if bound[t] <= n else subst_fix((w, n, t))
-
-        self._lifti = lifti
-        self._subst = subst
+        lifti = self._lifti = shift(self.m_lifti, False)
+        subst = self._subst = shift(self.m_subst, True)
 
         def beta(u: int, w: int) -> int:
             self._steps += 1
@@ -244,41 +299,85 @@ class LambdaManager:
                 raise DepthExceededError(
                     f"exceeded {STEP_GUARD} reduction steps"
                 )
-            return subst(u, 0, w)
+            return w if bound[w] == 0 else subst(u, 0, w)
 
-        def hnf_body(recurse, t):
-            tag, f, u = nodes[t]
-            if tag == VAR_TAG:
-                return t
-            if tag == ABS_TAG:
-                return abs_(recurse(f))
-            h = recurse(f)
-            htag, hb, _ = nodes[h]
-            if htag == ABS_TAG:
-                return recurse(beta(u, hb))
-            return app(h, u)
+        def normalizer(table: MemoTable, full: bool):
+            """`hnf` (`full` False) or `nf` over term ids.  Work items
+            are `(kind, t)`: build the abstraction `t` (ABS); the result
+            is the head of the application `t` (HEAD); store it under
+            `t`, a variable or a redex it is the value of (TAIL); and,
+            for `nf`, normalize the argument `t` next (ARG) and build
+            the application `t` from the two results (APP).  A head
+            redex's reduct is a loop step, not a call; `nf` takes an
+            application's head from the `hnf` machine."""
+            get, setdefault = table.get, table.setdefault
 
-        self._hnf = memo_fix(hnf_body, self.m_hnf)
+            def run(t: int) -> int:
+                work: list[tuple] = []
+                out: list[int] = []
+                hits = misses = evals = 0
+                try:
+                    while True:
+                        r = get(t)
+                        if r is not None:
+                            hits += 1
+                        else:
+                            misses += 1
+                            tag, f, _ = nodes[t]
+                            if tag == VAR_TAG:
+                                work.append((TAIL, t))
+                                r = t
+                            elif full and tag == APP_TAG:
+                                work.append((HEAD, t))
+                                r = hnf(f)
+                            else:
+                                work.append((tag, t))  # ABS; HEAD for hnf
+                                t = f
+                                continue
+                        # r is a result: run the builds it completes
+                        while work:
+                            kind, t = work.pop()
+                            if kind == HEAD:
+                                htag, hb, _ = nodes[r]
+                                u = nodes[t][2]
+                                if htag == ABS_TAG:
+                                    work.append((TAIL, t))
+                                    t = beta(u, hb)
+                                    break
+                                if full:
+                                    work.append((APP, t))
+                                    work.append((ARG, u))
+                                    t = r
+                                    break
+                                r = app(r, u)
+                            elif kind == ARG:
+                                out.append(r)
+                                break
+                            elif kind == ABS:
+                                r = abs_(r)
+                            elif kind == APP:
+                                r = app(out.pop(), r)
+                            evals += 1
+                            old = setdefault(t, r)
+                            if old != r:
+                                raise MemoContractError.rebound(t, old, r)
+                        else:
+                            return r
+                finally:
+                    table.hits += hits
+                    table.misses += misses
+                    table.body_evaluations += evals
 
-        def nf_body(recurse, t):
-            tag, f, u = nodes[t]
-            if tag == VAR_TAG:
-                return t
-            if tag == ABS_TAG:
-                return abs_(recurse(f))
-            h = self._hnf(f)
-            htag, hb, _ = nodes[h]
-            if htag == ABS_TAG:
-                return recurse(beta(u, hb))
-            return app(recurse(h), recurse(u))
+            return run
 
-        self._nf = memo_fix(nf_body, self.m_nf)
+        hnf = self._hnf = normalizer(self.m_hnf, False)
+        self._nf = normalizer(self.m_nf, True)
 
     def lifti(self, n: int, t: int, k: int) -> int:
         """Shift free variables >= k up by n; t itself when n == 0 or
         bound(t) <= k."""
         self.pool.resolve(t)
-        return self._lifti(n, t, k)
+        return t if n == 0 or self._bound[t] <= k else self._lifti(n, k, t)
 
     def lift(self, n: int, t: int) -> int:
         return self.lifti(n, t, 0)
@@ -288,7 +387,7 @@ class LambdaManager:
         above the cut; t itself when bound(t) <= n."""
         self.pool.resolve(w)
         self.pool.resolve(t)
-        return self._subst(w, n, t)
+        return t if self._bound[t] <= n else self._subst(w, n, t)
 
     def _guarded(self, fix, t: int) -> int:
         self.pool.resolve(t)

@@ -11,13 +11,14 @@ nothing, so the same engine code runs with memoization off and every
 probe misses; results must not change.
 
 Every caller probes a table through its own `get`/`setdefault`:
-`memo_fix`, and the BDD engine's explicit-stack `and`/`or`.  An
-operation whose operands commute keys `(min, max)` itself before the
-probe.
+`memo_fix` (the BDD engine's `xor`/`not`), the BDD engine's
+explicit-stack `and`/`or`, and the lambda engine's two explicit-stack
+machines (`lifti`/`subst` and `hnf`/`nf`).  An operation whose operands
+commute keys `(min, max)` itself before the probe.
 
 `memo_fix` adds no recursion guard of its own: a body that is not
-well-founded ends in Python's `RecursionError`, and the lambda
-normalizer bounds its beta steps with `DepthExceededError`.
+well-founded ends in Python's `RecursionError`.  The lambda normalizer
+bounds its beta steps with `DepthExceededError`.
 """
 
 from __future__ import annotations

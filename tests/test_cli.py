@@ -317,18 +317,33 @@ def test_lambda_sort_step_guard_exit_two(capsys, monkeypatch, flags):
     assert err == "error: exceeded 100 reduction steps\n"
 
 
-def test_lambda_sort_thread_start_failure_exit_two(capsys, monkeypatch):
-    # under an address-space cap the big-stack worker cannot start
+def _no_threads(monkeypatch):
+    # as under an address-space cap: no big-stack worker can start
     def start(self):
         raise RuntimeError("can't start new thread")
     monkeypatch.setattr(threading.Thread, "start", start)
+
+
+def test_lambda_sort_thread_start_failure_exit_two(capsys, monkeypatch):
+    # the recursive --no-memo baseline needs the big-stack worker
+    _no_threads(monkeypatch)
     limit = sys.getrecursionlimit()
-    code, out, err = run_cli(capsys, "lambda-sort", "--list", "2,1,0")
+    code, out, err = run_cli(capsys, "lambda-sort", "--list", "2,1,0",
+                             "--no-memo")
     assert code == 2
     assert out == ""
     assert err == "error: engine thread: can't start new thread\n"
     assert "Traceback" not in err
     assert sys.getrecursionlimit() == limit
+
+
+def test_lambda_sort_memoized_needs_no_thread(capsys, monkeypatch):
+    # the memoized machines run on the calling thread
+    _no_threads(monkeypatch)
+    code, out, err = run_cli(capsys, "lambda-sort", "--list", "2,1,0")
+    assert code == 0
+    assert out.splitlines()[0] == "0,1,2"
+    assert err == ""
 
 
 def test_lambda_sort_malformed_list(capsys):

@@ -6,6 +6,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import lam_spec
+from maxshare import lam
 from maxshare.intern import UnknownIdError
 from maxshare.lam import (
     ABS_TAG,
@@ -27,6 +29,7 @@ from maxshare.lam import (
     run_deep,
     to_plain,
 )
+from maxshare.memo import DepthExceededError
 
 
 @pytest.fixture
@@ -298,6 +301,77 @@ def test_memo_transparency():
             to_plain(m2, m2.nf(from_plain(m2, plain)))
 
 
+# -- machines against the recursive specification -------------------------
+
+def _run_ops(m, ops, seed, n, k):
+    """Results of lifti/subst on random terms and hnf/nf (with their
+    beta steps) on affine terms, all built in `m` from `seed`."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(3):
+        w, t = random_term(m, rng, 3), random_term(m, rng, 5, free=3)
+        out += [ops.subst(w, n, t), ops.lifti(n, t, k)]
+    for _ in range(3):
+        t = affine_term(m, rng)
+        out += [ops.hnf(t), ops.nf(t)]
+    return out
+
+
+@pytest.mark.parametrize("memo", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 3), st.integers(0, 3))
+def test_machines_match_recursive_spec(memo, seed, n, k):
+    # The machines must make the spec's probes, stores and interns in
+    # the spec's order: equal results, pools, bounds and tables.
+    machine, spec = (LambdaManager(memo_enabled=memo) for _ in range(2))
+    got = _run_ops(machine, machine, seed, n, k)
+    assert got == _run_ops(spec, lam_spec.Spec(spec), seed, n, k)
+    assert machine.pool.back == spec.pool.back
+    assert machine._bound == spec._bound
+    assert machine.pool.stats() == spec.pool.stats()
+    for name in ("m_lifti", "m_subst", "m_hnf", "m_nf"):
+        a, b = getattr(machine, name), getattr(spec, name)
+        assert (dict(a), a.hits, a.misses, a.body_evaluations) == \
+            (dict(b), b.hits, b.misses, b.body_evaluations), name
+    assert machine.pool.scan_duplicates() == []
+
+
+def test_machines_match_spec_on_quicksort_steps():
+    machine, spec = LambdaManager(), LambdaManager()
+    ops = lam_spec.Spec(spec)
+    term, same = (m.mk_app(quicksort_term(m), church_list(m, [2, 0, 1]))
+                  for m in (machine, spec))
+    assert term == same
+    assert machine.nf(term) == run_deep(ops.nf, term)
+    assert machine.reduction_steps == ops.steps
+    assert machine.pool.back == spec.pool.back
+    assert machine.stats() == spec.stats()
+
+
+def test_step_guard_leaves_tables_consistent(monkeypatch):
+    # Omega never normalizes: on the calling thread hnf and nf trip the
+    # step guard, not the recursion limit, and leave every table with
+    # one stored entry per counted body evaluation.
+    monkeypatch.setattr(lam, "STEP_GUARD", 1000)
+    m = LambdaManager()
+    half = m.mk_abs(m.mk_app(m.mk_var(0), m.mk_var(0)))
+    omega = m.mk_app(half, half)
+    for op in (m.hnf, m.nf):
+        with pytest.raises(DepthExceededError):
+            op(omega)
+    tables = (m.m_lifti, m.m_subst, m.m_hnf, m.m_nf)
+    assert all(len(t) == t.body_evaluations for t in tables)
+    assert m.m_hnf.misses > len(m.m_hnf)
+    # the manager stays usable: the same sort as on a fresh manager
+    monkeypatch.undo()
+    fresh = LambdaManager()
+    outs = [to_plain(x, x.nf(x.mk_app(quicksort_term(x),
+                                      church_list(x, [2, 0, 1]))))
+            for x in (m, fresh)]
+    assert outs[0] == outs[1]
+    assert decode_list(fresh, from_plain(fresh, outs[0])) == [0, 1, 2]
+
+
 # -- Church encodings ------------------------------------------------------
 
 def test_church_round_trip(mgr):
@@ -329,7 +403,7 @@ def test_decode_shape_errors(mgr):
 def sort_via_lambda(values, *, memo=True):
     m = LambdaManager(memo_enabled=memo)
     term = m.mk_app(quicksort_term(m), church_list(m, values))
-    return decode_list(m, run_deep(m.nf, term)), m
+    return decode_list(m, m.nf(term)), m
 
 
 def test_quicksort_paper_list():
@@ -384,6 +458,22 @@ def test_quicksort_reverse_ten_counters():
     # the one-operand tables are keyed on the term's id itself
     assert all(type(k) is int for k in m.m_hnf)
     assert all(type(k) is int for k in m.m_nf) and len(m.m_nf) > 0
+
+
+def test_quicksort_sixty_on_the_calling_thread(monkeypatch):
+    # The machines take no Python stack in proportion to the terms: the
+    # memoized sort of [59..0] runs at the default recursion limit and
+    # starts no thread.
+    def start(self):
+        raise AssertionError("a thread was started")
+    monkeypatch.setattr(threading.Thread, "start", start)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out, _ = sort_via_lambda(list(range(59, -1, -1)))
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert out == list(range(60))
 
 
 # -- run_deep --------------------------------------------------------------
