@@ -5,11 +5,11 @@ against.
 `Spec(mgr)` runs the recursive `memo_fix` bodies over `mgr`'s pool,
 free-variable bounds and memo tables: it interns through `Pool.intern`,
 keeps `mgr._bound` in step as the manager's constructors do, and counts
-its beta steps against the same `lam.STEP_GUARD`.  Two managers built
-alike, one run through the machines and one through the spec, must end
-with equal results, pools, bounds and tables, counters included.  The
-bodies recurse once per term level, so keep their inputs small or run
-them under `lam.run_deep`.
+its beta steps in `reduction_steps` against the same `lam.STEP_GUARD`.
+Two managers built alike, one run through the machines and one through
+the spec, must end with equal results, pools, bounds and tables,
+counters included.  The bodies recurse once per term level, so keep
+their inputs small or run them under `lam.run_deep`.
 """
 
 from maxshare import lam
@@ -19,7 +19,7 @@ from maxshare.memo import DepthExceededError, memo_fix
 
 class Spec:
     def __init__(self, mgr: lam.LambdaManager) -> None:
-        self.steps = 0
+        self.reduction_steps = 0
         bound, nodes, intern = mgr._bound, mgr.pool.back, mgr.pool.intern
         mk_var = mgr.mk_var
 
@@ -68,8 +68,8 @@ class Spec:
             return t if bound[t] <= n else subst_fix((w, n, t))
 
         def beta(u, w):
-            self.steps += 1
-            if self.steps > lam.STEP_GUARD:
+            self.reduction_steps += 1
+            if self.reduction_steps > lam.STEP_GUARD:
                 raise DepthExceededError(
                     f"exceeded {lam.STEP_GUARD} reduction steps")
             return subst(u, 0, w)
@@ -106,9 +106,9 @@ class Spec:
         self._hnf, self._nf = hnf_fix, nf_fix
 
     def hnf(self, t: int) -> int:
-        self.steps = 0
+        self.reduction_steps = 0
         return self._hnf(t)
 
     def nf(self, t: int) -> int:
-        self.steps = 0
+        self.reduction_steps = 0
         return self._nf(t)

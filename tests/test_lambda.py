@@ -313,7 +313,8 @@ def _run_ops(m, ops, seed, n, k):
         out += [ops.subst(w, n, t), ops.lifti(n, t, k)]
     for _ in range(3):
         t = affine_term(m, rng)
-        out += [ops.hnf(t), ops.nf(t)]
+        out += [ops.hnf(t), ops.reduction_steps, ops.nf(t),
+                ops.reduction_steps]
     return out
 
 
@@ -343,7 +344,7 @@ def test_machines_match_spec_on_quicksort_steps():
                   for m in (machine, spec))
     assert term == same
     assert machine.nf(term) == run_deep(ops.nf, term)
-    assert machine.reduction_steps == ops.steps
+    assert machine.reduction_steps == ops.reduction_steps
     assert machine.pool.back == spec.pool.back
     assert machine.stats() == spec.stats()
 
