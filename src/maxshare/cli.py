@@ -5,7 +5,7 @@ Subcommands:
     taut         check a formula (file or generated benchmark) for
                  tautology; exit 0 iff tautology, 1 iff not (the report
                  then carries a falsifying `counterexample`), 2 on error
-                 (a formula nested deeper than the engine's recursion
+                 (a formula or diagram deeper than the recursion
                  limit, a generator size outside 1..`URQUHART_LIMIT`
                  or 1..`PIGEONHOLE_LIMIT` of `formula`, and running out
                  of memory included; the parser has no nesting limit)
@@ -99,10 +99,10 @@ def _check(command: str, f: fm.Formula) -> RunReport:
 
 
 def _too_deep(where: str = "") -> int:
-    """Exit status 2 for a formula nested deeper than the recursive
-    compiler and engine can follow."""
+    """Exit status 2 for a formula nested deeper, or building a diagram
+    deeper, than the recursive compiler and engine can follow."""
     print(f"error: {where}formula nested too deeply to compile: its "
-          f"nesting depth exceeds the recursion limit of "
+          f"nesting or diagram depth exceeds the recursion limit of "
           f"{sys.getrecursionlimit()} frames", file=sys.stderr)
     return 2
 

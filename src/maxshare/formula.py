@@ -16,11 +16,11 @@ rescans for a token's line and column only to raise an error, and
 shares variable leaves through a bounded cache from token to `Var`.
 `parse`, `print_formula`, `eval_formula`, `variables` and the AST
 classes' `==`, `hash` and `repr` run on explicit stacks and have no
-nesting limit.  `compile` loops over `!` and recurses once per binary
-connective; it pushes negations into constants, variables and the left
-operand of `^` and `<->`, so a chain of `<->` builds no complement of
-its accumulated diagram.  It calls the steps of `BddManager.unchecked`
-directly, with the probes and interns of `apply2`, `mk_not`, `mk_node`.
+nesting limit.  `compile` loops over `!` and along chains of `^` and
+`<->`, xoring literal operands as a balanced tree, and recurses once per
+other binary connective; it pushes negations into constants, variables
+and the left operand of `^` and `<->`, and calls the steps of
+`BddManager.unchecked` directly.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .bdd import FALSE, LEAF_VAR, TRUE, BddManager, UnboundVariableError
 
@@ -384,6 +384,40 @@ def eval_formula(f: Formula, assignment: Mapping[int, bool]) -> bool:
 # Connectives that `compile` builds with `and`/`or`: the operation and
 # whether the left operand is compiled negated.
 _AND_OR = {And: ("and", False), Or: ("or", False), Implies: ("or", True)}
+_XORS = {Xor, Iff}
+_LITERALS = {Var, Const, Not}
+
+
+def _spine(build, xor, f: Formula, negated: bool) -> int:
+    """`compile`'s `build(f, negated)` for the chain `f` heads."""
+    right = type(f.right) in _XORS
+    ops = []  # each chain node's operand off the chain, then the chain's end
+    while type(f) in _XORS:
+        last = f, negated
+        flag = negated != (type(f) is Iff)
+        near, f = (f.left, f.right) if right else (f.right, f.left)
+        ops.append((near, flag if right else False))
+        negated = False if right else flag
+    ops.append((f, negated))
+    k = 0  # literal operands at the deep end
+    for g, _ in reversed(ops):
+        while type(g) is Not:
+            g = g.operand
+        if type(g) is not Var and type(g) is not Const:
+            break
+        k += 1
+    s = len(ops) - (k if k >= 4 else 2)  # chain nodes to fold
+    ids = [build(*op) for op in ops[:s]] if right else []
+    order = 1 if right else -1  # build in reading order, deep end last
+    d = ([build(*op) for op in ops[s:][::order]][::order] if k >= 4
+         else [build(*last)])  # else the last node decides afresh
+    while len(d) > 1:  # pair from the deep end, deepest pair first
+        pairs = [xor(d[i - 1], d[i]) for i in range(len(d) - 1, 0, -2)]
+        d = d[:len(d) % 2] + pairs[::-1]
+    r = d[0]
+    for j in reversed(range(s)):  # xor is symmetric in its operands
+        r = xor(ids[j] if right else build(*ops[j]), r)
+    return r
 
 
 def compile(mgr: BddManager, f: Formula) -> int:
@@ -396,8 +430,14 @@ def compile(mgr: BddManager, f: Formula) -> int:
     and `<->` pass the flag to their left operand, since not(a ^ b) is
     (!a ^ b) and (a <-> b) is (!a ^ b).  `&`, `|` and `->` (built as
     (!a | b)) take one `not` of their own result when the flag is set.
-    Recurses once per binary connective.  Every id comes from `mgr`, so
-    its unchecked steps are called directly."""
+
+    A `^`/`<->` with a `^`/`<->` operand heads a spine, the chain down
+    its right operands or else its left ones.  At least 4 literal
+    operands (a variable or constant under any `!`) at its deep end are
+    xored as a balanced tree, paired from the deep end: k operands over
+    n variables cost O(n log k) parity nodes, not a fold's O(k n).  The
+    rest of the chain folds.  Ids come from `mgr`: its unchecked steps
+    are called directly."""
     steps = mgr.unchecked
     xor, not_, intern = steps["xor"], steps["not"], mgr.pool.intern
 
@@ -414,8 +454,13 @@ def compile(mgr: BddManager, f: Formula) -> int:
         if kind is Const:
             return TRUE if bool(f.value) != negated else FALSE
         if kind is Xor or kind is Iff:
-            return xor(build(f.left, negated != (kind is Iff)),
-                       build(f.right, False))
+            a, b = f.left, f.right
+            if (type(b) in _XORS and type(a) in _LITERALS
+                    and type(b.right) in _XORS) or (
+                    type(a) in _XORS and type(b) in _LITERALS
+                    and type(a.left) in _XORS):  # 4 or more operands
+                return _spine(build, xor, f, negated)
+            return xor(build(a, negated != (kind is Iff)), build(b, False))
         if kind not in _AND_OR:
             raise FormulaError(f"not a formula: {f!r}")
         op, left_negated = _AND_OR[kind]
@@ -425,21 +470,15 @@ def compile(mgr: BddManager, f: Formula) -> int:
     return build(f, False)
 
 
-def assignments(nvars: int) -> Iterator[dict[int, bool]]:
-    """All environments over variables 1..nvars."""
-    for bits in itertools.product((False, True), repeat=nvars):
-        yield {i + 1: bits[i] for i in range(nvars)}
-
-
-def equiv_counterexample(
-    f: Formula, g: Formula, nvars: int
-) -> dict[int, bool] | None:
+def equiv_counterexample(f: Formula, g: Formula,
+                         nvars: int) -> dict[int, bool] | None:
     """First assignment over 1..nvars where f and g disagree, or None."""
     if nvars > ORACLE_VAR_LIMIT:
         raise OracleLimitError(
             f"{nvars} variables exceed the oracle limit {ORACLE_VAR_LIMIT}"
         )
-    for env in assignments(nvars):
+    for bits in itertools.product((False, True), repeat=nvars):
+        env = {i + 1: bits[i] for i in range(nvars)}
         if eval_formula(f, env) != eval_formula(g, env):
             return env
     return None

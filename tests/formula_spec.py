@@ -126,6 +126,40 @@ def parse(text: str) -> Formula:
 # Connectives that `compile` builds with `and`/`or`: the operation and
 # whether the left operand is compiled negated.
 _AND_OR = {And: ("and", False), Or: ("or", False), Implies: ("or", True)}
+_XORS = (Xor, Iff)
+
+
+def _literal(f: Formula) -> bool:
+    while type(f) is Not:
+        f = f.operand
+    return type(f) in (Var, Const)
+
+
+def _literal_spine(f: Formula, negated: bool):
+    """The operands, each with its negation flag, in reading order, of
+    the spine that `f` heads, when there are at least 4 and every one is
+    a literal; otherwise None.  A `^`/`<->` node heads the chain down its
+    right operands if the right one is a `^`/`<->`, else down its left
+    ones if the left one is.  Each node's flag goes to its left operand,
+    flipped if the node is `<->`; the other operand gets False."""
+    if type(f.right) in _XORS:
+        ops = []
+        while type(f) in _XORS:
+            ops.append((f.left, negated != (type(f) is Iff)))
+            f, negated = f.right, False
+        ops.append((f, False))
+    elif type(f.left) in _XORS:
+        ops = []
+        while type(f) in _XORS:
+            ops.append((f.right, False))
+            f, negated = f.left, negated != (type(f) is Iff)
+        ops.append((f, negated))
+        ops.reverse()
+    else:
+        return None
+    if len(ops) < 4 or not all(_literal(g) for g, _ in ops):
+        return None
+    return ops
 
 
 def compile(mgr: BddManager, f: Formula) -> int:
@@ -138,7 +172,13 @@ def compile(mgr: BddManager, f: Formula) -> int:
     and `<->` pass the flag to their left operand, since not(a ^ b) is
     (!a ^ b) and (a <-> b) is (!a ^ b).  `&`, `|` and `->` (built as
     (!a | b)) take one `mk_not` of their own result when the flag is
-    set.  Recurses once per binary connective."""
+    set.  A spine of at least 4 literal operands (`_literal_spine`) is
+    built operand by operand, left to right, and then xored as a
+    balanced tree: each level pairs neighbours from the deep end of the
+    chain (the right end of a right-nested one, the left end of a
+    left-nested one), the deep-end pair first, and an odd operand out
+    at the far end waits for the next level.  Recurses once per binary
+    connective otherwise."""
     mk_node, apply2, mk_not = mgr.mk_node, mgr.apply2, mgr.mk_not
 
     def build(f: Formula, negated: bool) -> int:
@@ -155,6 +195,10 @@ def compile(mgr: BddManager, f: Formula) -> int:
         if kind is Const:
             return TRUE if bool(f.value) != negated else FALSE
         if kind is Xor or kind is Iff:
+            ops = _literal_spine(f, negated)
+            if ops is not None:
+                ids = [build(g, flag) for g, flag in ops]
+                return balanced(ids if type(f.right) in _XORS else ids[::-1])
             return apply2("xor", build(f.left, negated != (kind is Iff)),
                           build(f.right, False))
         if kind not in _AND_OR:
@@ -162,5 +206,15 @@ def compile(mgr: BddManager, f: Formula) -> int:
         op, left_negated = _AND_OR[kind]
         r = apply2(op, build(f.left, left_negated), build(f.right, False))
         return mk_not(r) if negated else r
+
+    def balanced(ids: list[int]) -> int:
+        """Xor of `ids`, deep end last, paired level by level."""
+        while len(ids) > 1:
+            level = []
+            while len(ids) > 1:
+                b, a = ids.pop(), ids.pop()
+                level.append(apply2("xor", a, b))
+            ids = ids + level[::-1]
+        return ids[0]
 
     return build(f, False)

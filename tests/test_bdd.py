@@ -338,13 +338,18 @@ def test_pinned_counters():
     assert _counters(mgr) == (12_487, 5_067, {"and": (162, 0),
                                               "or": (19_157, 8_602),
                                               "not": (44, 41)})
-    # `<->` passes its negation to its left operand, a variable, so no
-    # level complements the accumulated diagram; `not` runs only where
-    # `xor` meets a leaf in one cofactor
+    # U(n) is one spine of 2n literal operands, which compile xors as a
+    # balanced tree: parity diagrams over ever more variables, O(n log n)
+    # nodes in all; `<->` negates its left operand, a variable, so `not`
+    # runs only where `xor` meets a leaf in one cofactor
     mgr = BddManager()
     assert compile_formula(mgr, urquhart(50)) == TRUE
-    assert _counters(mgr) == (2_503, 146, {"xor": (2_549, 2_352),
-                                           "not": (99, 193)})
+    assert _counters(mgr) == (483, 379, {"xor": (617, 460),
+                                         "not": (223, 345)})
+    mgr = BddManager()
+    assert compile_formula(mgr, urquhart(200)) == TRUE
+    assert _counters(mgr) == (2_335, 1_804, {"xor": (2_965, 2_650),
+                                             "not": (1_086, 1_437)})
 
 
 def test_pinned_counters_pigeonhole_8():

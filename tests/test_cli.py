@@ -148,6 +148,25 @@ def test_taut_too_deep_file_exit_two(tmp_path, capsys):
     assert err.startswith("error:") and "nested too deeply" in err
 
 
+def _chain(symbol, count):
+    # "1" then `count` variables over x1..x8, each used an even number of
+    # times: a chain of `^` or `<->` that is a tautology either way
+    half = [f"x{i % 8 + 1}" for i in range(count // 2)]
+    return f" {symbol} ".join(["1"] + half + half)
+
+
+@pytest.mark.parametrize("text", [_chain("<->", 3_000), _chain("^", 3_000)],
+                         ids=["3000-right-nested-iff", "3000-left-nested-xor"])
+def test_taut_file_long_literal_chains_exit_zero(tmp_path, capsys, text):
+    # compile reads a chain of `^`/`<->` over literals in a loop and xors
+    # them as a balanced tree, at the default recursion limit
+    path = tmp_path / "chain.bf"
+    path.write_text(text + "\n")
+    code, out, _ = run_cli(capsys, "taut", "--file", str(path))
+    assert code == 0
+    assert json.loads(out)["result"] is True
+
+
 @pytest.mark.parametrize("count", [3_000, 100_000])
 def test_taut_file_deep_negations_exit_zero(tmp_path, capsys, count):
     # compile loops over `!`, at the default recursion limit; an even
@@ -213,9 +232,10 @@ def test_bench_too_deep_exit_two(capsys, monkeypatch):
 
 def test_bench_prints_finished_sizes_before_a_failure(capsys):
     # each record is printed as its size finishes, so a size that runs
-    # out of stack leaves the earlier records in place and is named
+    # out of stack leaves the earlier records in place and is named;
+    # U(n) takes about 3n frames, so 100 frames end it near U(28)
     old = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
         code, out, err = run_cli(capsys, "bench", "urquhart", "--max", "40",
                                  "--json")

@@ -3,11 +3,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import formula_spec
-from conftest import equivalent_variant, formulas, random_formula
+from conftest import (equivalent_variant, formulas, nested_not,
+                      random_formula, spines)
 from maxshare import formula
 from maxshare.bdd import (
     FALSE, LEAF_VAR, TRUE, BddManager, UnboundVariableError,
@@ -190,12 +191,6 @@ def test_variable_cache_holds_only_accepted_indices():
     assert formula._VARS["x1"] == Var(1)
 
 
-def _nested_not(count, f):
-    for _ in range(count):
-        f = Not(f)
-    return f
-
-
 def _implies_chain(operands):
     acc = operands[-1]
     for g in reversed(operands[:-1]):
@@ -205,7 +200,7 @@ def _implies_chain(operands):
 
 def test_parse_has_no_nesting_limit():
     # 100,000 levels at the default recursion limit
-    assert parse("!" * 100_000 + "x1") == _nested_not(100_000, Var(1))
+    assert parse("!" * 100_000 + "x1") == nested_not(100_000, Var(1))
     f = parse("(" * 100_000 + "x1 | !x1" + ")" * 100_000)
     assert f == Or(Var(1), Not(Var(1)))
     f = parse(" -> ".join(["x2"] * 50_000))
@@ -231,7 +226,7 @@ def test_print_and_eval_have_no_nesting_limit():
 
 
 @pytest.mark.parametrize("build", [
-    lambda v: _nested_not(100_000, Var(v)),
+    lambda v: nested_not(100_000, Var(v)),
     lambda v: _implies_chain([Var(i) for i in range(v, v + 50_000)]),
 ], ids=["100000-nots", "50000-implies"])
 def test_eq_hash_repr_have_no_nesting_limit(build):
@@ -348,7 +343,7 @@ def test_compile_pushes_negation(memo, f, extra):
     # every connective under nested negations: compiling !f is the
     # complement of compiling f, and both agree with the oracle
     mgr = BddManager(memo_enabled=memo)
-    f = _nested_not(extra, f)
+    f = nested_not(extra, f)
     r = compile(mgr, f)
     rn = compile(mgr, Not(f))
     assert rn == mgr.mk_not(r)
@@ -363,19 +358,36 @@ def _tables(mgr):
                             ("xor", mgr.m_xor), ("not", mgr.m_not))}
 
 
+# Chains whose last node heads a literal chain nested the other way, so
+# that node decides afresh which chain it heads.
+_TURNS = [
+    Iff(Var(1), Iff(Var(2), Iff(Xor(Xor(Xor(Var(3), Var(4)), Var(5)),
+                                    Var(1)), Var(2)))),
+    Xor(Xor(Xor(Var(1), Iff(Var(2), Iff(Var(3), Iff(Var(4), Var(5))))),
+            Var(2)), Var(3)),
+]
+
+
 @pytest.mark.parametrize("memo", [True, False])
 @settings(max_examples=150, deadline=None)
-@given(fs=st.lists(formulas(max_vars=5), min_size=1, max_size=6))
+@given(fs=st.lists(st.one_of(formulas(max_vars=5), spines(max_vars=5)),
+                   min_size=1, max_size=6))
+@example(fs=_TURNS)
 def test_compile_conforms_to_the_spec(memo, fs):
     # the spec builds through the checking mk_node/apply2/mk_not; the
     # same formulas into one fresh manager each give the same ids, the
-    # same pool and the same entries and counters in every table
+    # same pool and the same entries and counters in every table, and
+    # each result has the formula's truth table.  `spines` makes the
+    # ^/<-> chains that compile xors as balanced trees
     mgr, spec = BddManager(memo_enabled=memo), BddManager(memo_enabled=memo)
-    assert ([compile(mgr, f) for f in fs]
-            == [formula_spec.compile(spec, f) for f in fs])
+    results = [compile(mgr, f) for f in fs]
+    assert results == [formula_spec.compile(spec, f) for f in fs]
     assert mgr.pool.back == spec.pool.back
     assert mgr.stats() == spec.stats()
     assert _tables(mgr) == _tables(spec)
+    for f, r in zip(fs, results):
+        for env in all_envs(5):
+            assert mgr.eval(r, env) is eval_formula(f, env)
 
 
 @pytest.mark.parametrize("f, error", [

@@ -74,6 +74,19 @@ def affine_term(mgr, rng, depth=5):
     return _build(mgr, go(depth, []))
 
 
+def stuck_term(mgr, rng, free=2):
+    # a free variable applied to 1-3 applications of affine terms, under
+    # 0-2 binders: the head is stuck, so nf normalizes both sides of each
+    # application, and both sides can make new nodes
+    t = mgr.mk_var(rng.randrange(free))
+    for _ in range(rng.randint(1, 3)):
+        t = mgr.mk_app(t, mgr.mk_app(affine_term(mgr, rng, 3),
+                                     affine_term(mgr, rng, 3)))
+    for _ in range(rng.randint(0, 2)):
+        t = mgr.mk_abs(t)
+    return t
+
+
 # -- constructors ----------------------------------------------------------
 
 def test_mk_abs_shares(mgr):
@@ -305,14 +318,14 @@ def test_memo_transparency():
 
 def _run_ops(m, ops, seed, n, k):
     """Results of lifti/subst on random terms and hnf/nf (with their
-    beta steps) on affine terms, all built in `m` from `seed`."""
+    beta steps) on affine and stuck terms, all built in `m` from `seed`."""
     rng = random.Random(seed)
     out = []
     for _ in range(3):
         w, t = random_term(m, rng, 3), random_term(m, rng, 5, free=3)
         out += [ops.subst(w, n, t), ops.lifti(n, t, k)]
-    for _ in range(3):
-        t = affine_term(m, rng)
+    for make in (affine_term,) * 3 + (stuck_term,) * 2:
+        t = make(m, rng)
         out += [ops.hnf(t), ops.reduction_steps, ops.nf(t),
                 ops.reduction_steps]
     return out
