@@ -233,7 +233,7 @@ def test_bench_too_deep_exit_two(capsys, monkeypatch):
 def test_bench_prints_finished_sizes_before_a_failure(capsys):
     # each record is printed as its size finishes, so a size that runs
     # out of stack leaves the earlier records in place and is named;
-    # U(n) takes about 3n frames, so 100 frames end it near U(28)
+    # U(n) takes about 3n frames, so 100 frames fail it near U(29)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
