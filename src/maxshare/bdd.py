@@ -137,8 +137,10 @@ class BddManager:
             with its low pair, so the low subproblem finishes before the
             high one starts, as under recursion, and the same keys hit.
             Keys are `(min, max)`, and values are ids, never None, so
-            `get`'s None is a miss."""
-            get, setdefault, record = table.get, table.setdefault, table.record
+            `get`'s None is a miss.  The counts go to the table when a
+            call returns or raises, body evaluations as the entries
+            stored."""
+            get, setdefault = table.get, table.setdefault
 
             def step(x: int, y: int) -> int:
                 if x == absorb or y == absorb:
@@ -150,56 +152,66 @@ class BddManager:
                 key = (x, y) if x < y else (y, x)
                 r = get(key)
                 if r is not None:
-                    record(1, 0)
+                    table.hits += 1
                     return r
                 work: list[tuple] = []
                 out: list[int] = []
-                hits = misses = 0
-                while True:
-                    # (x, y) missed under `key`: push its build and its
-                    # high pair, and go on with its low pair
-                    misses += 1
-                    vx, xl, xh = nodes[x]
-                    vy, yl, yh = nodes[y]
-                    if vx == vy:
-                        work.append((~vx, key))
-                        work.append((xh, yh))
-                        x, y = xl, yl
-                    elif vx < vy:
-                        work.append((~vx, key))
-                        work.append((xh, y))
-                        x = xl
-                    else:
-                        work.append((~vy, key))
-                        work.append((x, yh))
-                        y = yl
+                hits = misses = lost = 0
+                try:
                     while True:
-                        if x == absorb or y == absorb:
-                            r = absorb
-                        elif x == unit:
-                            r = y
-                        elif y == unit:
-                            r = x
+                        # (x, y) missed under `key`: push its build and
+                        # its high pair, and go on with its low pair
+                        misses += 1
+                        vx, xl, xh = nodes[x]
+                        vy, yl, yh = nodes[y]
+                        if vx == vy:
+                            work.append((~vx, key))
+                            work.append((xh, yh))
+                            x, y = xl, yl
+                        elif vx < vy:
+                            work.append((~vx, key))
+                            work.append((xh, y))
+                            x = xl
                         else:
-                            key = (x, y) if x < y else (y, x)
-                            r = get(key)
-                            if r is None:
-                                break
-                            hits += 1
-                        # r is a result: run the builds it completes
-                        x, y = work.pop()
-                        while x < 0:
-                            low = out.pop()
-                            if low != r:
-                                r = intern((~x, low, r))
-                            old = setdefault(y, r)
-                            if old != r:
-                                raise MemoContractError.rebound(y, old, r)
-                            if not work:
-                                record(hits, misses)
-                                return r
+                            work.append((~vy, key))
+                            work.append((x, yh))
+                            y = yl
+                        while True:
+                            if x == absorb or y == absorb:
+                                r = absorb
+                            elif x == unit:
+                                r = y
+                            elif y == unit:
+                                r = x
+                            else:
+                                key = (x, y) if x < y else (y, x)
+                                r = get(key)
+                                if r is None:
+                                    break
+                                hits += 1
+                            # r is a result: run the builds it completes
                             x, y = work.pop()
-                        out.append(r)
+                            while x < 0:
+                                low = out.pop()
+                                if low != r:
+                                    r = intern((~x, low, r))
+                                old = setdefault(y, r)
+                                if old != r:
+                                    raise MemoContractError.rebound(y, old, r)
+                                if not work:
+                                    return r
+                                x, y = work.pop()
+                            out.append(r)
+                except BaseException:
+                    # each miss pushed one build; those still on `work`,
+                    # and the one popped (x < 0) whose intern or store
+                    # raised, stored nothing
+                    lost = (x < 0) + sum(1 for b, _ in work if b < 0)
+                    raise
+                finally:
+                    table.hits += hits
+                    table.misses += misses
+                    table.body_evaluations += misses - lost
 
             return step
 

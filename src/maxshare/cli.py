@@ -15,10 +15,11 @@ Subcommands:
                  generator limit (checked first) or a failing size, out
                  of memory included (the `error:` line names the size)
     lambda-sort  sort a comma-separated list of naturals through the
-                 lambda-calculus quicksort; exit 3 on decode failure,
-                 2 on error (`lam.STEP_GUARD` beta steps exceeded, a
-                 value above `MEMO_VALUE_LIMIT`, no thread for
-                 `--no-memo` and running out of memory included)
+                 lambda-calculus quicksort, with memoization off for
+                 `--no-memo`; exit 3 on decode failure, 2 on error
+                 (`lam.STEP_GUARD` beta steps exceeded, a value above
+                 `MEMO_VALUE_LIMIT` or `NO_MEMO_VALUE_LIMIT`, and
+                 running out of memory included)
 
 Reports go to stdout as JSON (schema 1), diagnostics to stderr.
 """
@@ -43,8 +44,10 @@ SCHEMA_VERSION = 1
 # Largest list value `lambda-sort` accepts.  A value n is a Church
 # numeral of n applications, and quicksort's comparisons cost about the
 # square of the values: memoized, the reversed list [200..191] takes
-# ~3 s and ~190 MB and [1000..991] ~80 s and 4.3 GB, while the unshared
-# --no-memo baseline grows so fast that 8 is its practical limit.
+# ~3 s and ~190 MB and [1000..991] ~80 s and 4.3 GB.  With --no-memo
+# every subcomputation is redone and the beta steps grow about 3.4x per
+# element of a reversed list: [5..0] takes 111,956 steps and ~1 s,
+# [8..0] 4.3 M steps and ~45 s, both in ~16 MB (2 shared cores).
 MEMO_VALUE_LIMIT = 200
 NO_MEMO_VALUE_LIMIT = 8
 
@@ -194,47 +197,31 @@ def cmd_lambda_sort(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    mgr = lam.LambdaManager()
+    mgr = lam.LambdaManager(memo_enabled=not args.no_memo)
     t0 = time.perf_counter()
     try:
-        def run():
-            term = mgr.mk_app(lam.quicksort_term(mgr),
-                              lam.church_list(mgr, values))
-            if args.no_memo:
-                # unshared, unmemoized baseline; re-encode the result
-                # into the pool so the output is comparable
-                ref = lam.PlainNormalizer()
-                out = lam.from_plain(mgr, ref.nf(lam.to_plain(mgr, term)))
-                extra = {"reduction_steps": ref.reduction_steps,
-                         "allocations": ref.allocations}
-            else:
-                out = mgr.nf(term)
-                extra = {"reduction_steps": mgr.reduction_steps,
-                         "allocations": mgr.pool.stats().intern_misses}
-            return lam.decode_list(mgr, out), extra
-        sorted_values, extra = lam.run_deep(run) if args.no_memo else run()
+        term = mgr.mk_app(lam.quicksort_term(mgr),
+                          lam.church_list(mgr, values))
+        sorted_values = lam.decode_list(mgr, mgr.nf(term))
     except MemoryError as exc:
         return _out_of_memory(exc)
     except lam.ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DepthExceededError, lam.DeepStackError) as exc:
-        # the step guard, an engine bound, or no thread for the baseline
+    except DepthExceededError as exc:  # the step guard
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ms = (time.perf_counter() - t0) * 1000.0
     print(",".join(str(v) for v in sorted_values))
-    stats = mgr.stats()
-    if args.no_memo:  # the baseline used no memo table
-        stats["memo_stats"] = {}
     report = RunReport(
         command=f"lambda-sort --list {args.list}"
                 + (" --no-memo" if args.no_memo else ""),
         result=sorted_values,
         node_count=len(mgr.pool),
         wall_time_ms=ms,
-        extra=extra,
-        **stats,
+        extra={"reduction_steps": mgr.reduction_steps,
+               "allocations": mgr.pool.stats().intern_misses},
+        **mgr.stats(),
     )
     print(report.to_json())
     return 0

@@ -26,10 +26,11 @@ index at or above the cut.  `lifti` by `n == 0` (what `subst` at cut 0
 asks for) is the identity and returns `t` the same way.
 
 The machines use no Python stack in proportion to the term, so the
-memoized operations run on any thread.  The unshared oracle below
-(`PlainNormalizer`, `to_plain`, `from_plain`) still recurses: run it
-through `run_deep` (a worker thread with a large stack and a raised
-recursion limit) when the input is not known to be small.
+operations run on any thread, memoized or not.  Only the unshared
+oracle below (`PlainNormalizer`, `to_plain`, `from_plain`) still
+recurses, and `run_deep` (a worker thread with a large stack and a
+raised recursion limit) is there for it: run the oracle through
+`run_deep` when the input is not known to be small.
 """
 
 from __future__ import annotations

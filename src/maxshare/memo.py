@@ -66,12 +66,6 @@ class MemoTable(dict):
         self.misses = 0
         self.body_evaluations = 0
 
-    def record(self, hits: int, misses: int) -> None:
-        """Add a run's counts; each miss is one body evaluation."""
-        self.hits += hits
-        self.misses += misses
-        self.body_evaluations += misses
-
 
 class ForgetfulTable(MemoTable):
     """A table that stores nothing: memoization off, same counters."""

@@ -140,7 +140,7 @@ def test_criterion_5_maximal_sharing(capsys):
     lam_mgr = LambdaManager()
     term = lam_mgr.mk_app(quicksort_term(lam_mgr),
                           church_list(lam_mgr, [0, 3, 5, 2, 4, 1]))
-    decode_list(lam_mgr, run_deep(lam_mgr.nf, term))
+    decode_list(lam_mgr, lam_mgr.nf(term))
     ok = (bdd_mgr.pool.scan_duplicates() == []
           and lam_mgr.pool.scan_duplicates() == [])
     report(5, "no duplicates in BDD pool or term pool", ok)
@@ -174,7 +174,7 @@ def test_criterion_7_lambda_benchmark(capsys):
     term = mgr.mk_app(quicksort_term(mgr), church_list(mgr, [3, 2, 1, 0]))
     baseline = PlainNormalizer()
     plain_out = run_deep(baseline.nf, to_plain(mgr, term))
-    memo_out = run_deep(mgr.nf, term)
+    memo_out = mgr.nf(term)
     count_ok = mgr.pool.stats().intern_misses < baseline.allocations
     equal_ok = from_plain(mgr, plain_out) == memo_out
     report(7, f"lambda sort in {elapsed:.2f}s; memoized misses "

@@ -1,10 +1,13 @@
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import bdd_spec
 from conftest import formulas, random_formula
+from maxshare import bdd
 from maxshare.bdd import (
     FALSE,
     TRUE,
@@ -15,7 +18,7 @@ from maxshare.bdd import (
 )
 from maxshare.formula import compile as compile_formula
 from maxshare.formula import eval_formula, pigeonhole, urquhart, variables
-from maxshare.intern import UnknownIdError
+from maxshare.intern import Pool, UnknownIdError
 
 
 def all_envs(nvars):
@@ -405,6 +408,82 @@ def test_and_or_memo_transparent_and_pointwise(f, g):
         results.append((a, b, out, len(mgr.pool)))
         assert not mgr.pool.scan_duplicates()
     assert results[0] == results[1]
+
+
+class _BudgetPool(Pool):
+    """A pool whose intern raises MemoryError once it holds `budget`
+    nodes, as an allocation failure would."""
+
+    budget = None
+
+    def intern(self, p):
+        if self.budget is not None and len(self.back) >= self.budget:
+            raise MemoryError
+        return super().intern(p)
+
+
+@pytest.mark.parametrize("budget", [3_000, 9_000])
+def test_and_or_counters_survive_a_raising_intern(monkeypatch, budget):
+    # the machine adds its counts to the table when a call raises too,
+    # counting only the entries it stored as body evaluations; the
+    # manager stays usable
+    monkeypatch.setattr(bdd, "Pool", _BudgetPool)
+    mgr = BddManager()
+    mgr.pool.budget = budget
+    with pytest.raises(MemoryError):
+        compile_formula(mgr, pigeonhole(6))
+    tables = (mgr.m_and, mgr.m_or, mgr.m_xor, mgr.m_not)
+    assert all(len(t) == t.body_evaluations for t in tables)
+    assert mgr.m_or.misses > len(mgr.m_or)  # the failing call's misses
+    mgr.pool.budget = None
+    assert compile_formula(mgr, pigeonhole(4)) == TRUE
+    assert all(len(t) == t.body_evaluations for t in tables)
+    assert mgr.pool.scan_duplicates() == []
+
+
+# -- the steps against the recursive specification --------------------------
+
+_NVARS = 5
+
+
+@st.composite
+def programs(draw, max_ops=25):
+    """Steps `(op, i, j)` over a growing operand list: FALSE, TRUE and
+    x1..x5, then each step's result; `not` reads only `i`."""
+    count = 2 + _NVARS
+    prog = []
+    for _ in range(draw(st.integers(1, max_ops))):
+        prog.append((draw(st.sampled_from(["and", "or", "xor", "not"])),
+                     draw(st.integers(0, count - 1)),
+                     draw(st.integers(0, count - 1))))
+        count += 1
+    return prog
+
+
+def _run_program(mgr, steps, prog):
+    ids = [FALSE, TRUE] + [mgr.mk_node(FALSE, v, TRUE)
+                           for v in range(1, _NVARS + 1)]
+    for op, i, j in prog:
+        ids.append(steps[op](ids[i]) if op == "not"
+                   else steps[op](ids[i], ids[j]))
+    return ids
+
+
+@pytest.mark.parametrize("memo", [True, False])
+@settings(max_examples=100, deadline=None)
+@given(programs())
+def test_steps_match_recursive_spec(memo, prog):
+    # The steps must make the spec's probes, stores and interns in the
+    # spec's order: equal results, pools and tables.
+    machine, spec = (BddManager(memo_enabled=memo) for _ in range(2))
+    got = _run_program(machine, machine.unchecked, prog)
+    assert got == _run_program(spec, bdd_spec.Spec(spec).steps, prog)
+    assert machine.pool.back == spec.pool.back
+    assert machine.pool.stats() == spec.pool.stats()
+    for name in ("m_and", "m_or", "m_xor", "m_not"):
+        a, b = getattr(machine, name), getattr(spec, name)
+        assert (dict(a), a.hits, a.misses, a.body_evaluations) == \
+            (dict(b), b.hits, b.misses, b.body_evaluations), name
 
 
 # -- sat_one ---------------------------------------------------------------

@@ -1,7 +1,10 @@
 import inspect
 import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -77,7 +80,8 @@ def _raise_memory_error(*args):
     ["taut", "--urquhart", "3"],
     ["bench", "pigeonhole", "--max", "2"],
     ["lambda-sort", "--list", "2,1,0"],
-], ids=["taut", "bench", "lambda-sort"])
+    ["lambda-sort", "--list", "2,1,0", "--no-memo"],
+], ids=["taut", "bench", "lambda-sort", "lambda-sort-no-memo"])
 def test_out_of_memory_exit_two(capsys, monkeypatch, argv):
     # running out of memory is an engine error (2), never "not a
     # tautology" (1)
@@ -299,9 +303,39 @@ def test_lambda_sort_no_memo_matches(capsys):
                              "--no-memo")
     assert code1 == code2 == 0
     assert out1.splitlines()[0] == out2.splitlines()[0] == "0,1,2"
-    # the baseline uses no memo table, so it reports none
-    assert json.loads(out1.splitlines()[1])["memo_stats"]["subst"]["misses"]
-    assert json.loads(out2.splitlines()[1])["memo_stats"] == {}
+    # both runs report the same four tables; without memoization none
+    # of them hits
+    memo1 = json.loads(out1.splitlines()[1])["memo_stats"]
+    memo2 = json.loads(out2.splitlines()[1])["memo_stats"]
+    assert memo1["subst"]["hits"] and memo1.keys() == memo2.keys()
+    assert all(row["hits"] == 0 for row in memo2.values())
+
+
+@pytest.mark.parametrize("values", [[2, 1, 0], [3, 1, 2]])
+def test_lambda_sort_no_memo_counts_the_unshared_steps(capsys, values):
+    # --no-memo runs the same machines with memoization off: the beta
+    # steps of the unshared recursive normalizer (2,095 and 2,554), each
+    # table probe a miss whose body runs, the same pool as memoized, and
+    # more steps than memoized (289 on [2,1,0])
+    mgr = lam.LambdaManager()
+    term = mgr.mk_app(lam.quicksort_term(mgr), lam.church_list(mgr, values))
+    plain = lam.PlainNormalizer()
+    lam.run_deep(plain.nf, lam.to_plain(mgr, term))
+    text = ",".join(map(str, values))
+    reports = {}
+    for flags in ([], ["--no-memo"]):
+        code, out, _ = run_cli(capsys, "lambda-sort", "--list", text, *flags)
+        assert code == 0
+        assert out.splitlines()[0] == ",".join(map(str, sorted(values)))
+        reports[bool(flags)] = json.loads(out.splitlines()[1])
+    memoized, unmemoized = reports[False], reports[True]
+    assert unmemoized["reduction_steps"] == plain.reduction_steps
+    assert unmemoized["memo_stats"].keys() == memoized["memo_stats"].keys()
+    for row in unmemoized["memo_stats"].values():
+        assert row["hits"] == 0
+        assert row["misses"] == row["body_evaluations"]
+    assert unmemoized["allocations"] == memoized["allocations"]
+    assert memoized["reduction_steps"] < plain.reduction_steps
 
 
 def test_lambda_sort_no_memo_value_guard(capsys):
@@ -344,26 +378,30 @@ def _no_threads(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start)
 
 
-def test_lambda_sort_thread_start_failure_exit_two(capsys, monkeypatch):
-    # the recursive --no-memo baseline needs the big-stack worker
+@pytest.mark.parametrize("flags", [[], ["--no-memo"]],
+                         ids=["memo", "no-memo"])
+def test_lambda_sort_needs_no_thread(capsys, monkeypatch, flags):
+    # the machines run on the calling thread, memoized or not, and leave
+    # the recursion limit alone
     _no_threads(monkeypatch)
     limit = sys.getrecursionlimit()
     code, out, err = run_cli(capsys, "lambda-sort", "--list", "2,1,0",
-                             "--no-memo")
-    assert code == 2
-    assert out == ""
-    assert err == "error: engine thread: can't start new thread\n"
-    assert "Traceback" not in err
-    assert sys.getrecursionlimit() == limit
-
-
-def test_lambda_sort_memoized_needs_no_thread(capsys, monkeypatch):
-    # the memoized machines run on the calling thread
-    _no_threads(monkeypatch)
-    code, out, err = run_cli(capsys, "lambda-sort", "--list", "2,1,0")
+                             *flags)
     assert code == 0
     assert out.splitlines()[0] == "0,1,2"
     assert err == ""
+    assert sys.getrecursionlimit() == limit
+
+
+def test_python_m_maxshare_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxshare", "lambda-sort", "--list", "3,1,2",
+         "--no-memo"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "1,2,3"
 
 
 def test_lambda_sort_malformed_list(capsys):

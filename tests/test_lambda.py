@@ -453,7 +453,7 @@ def test_memo_effectiveness_on_four_element_sort():
     term = m.mk_app(quicksort_term(m), church_list(m, values))
     ref = PlainNormalizer()
     plain_out = run_deep(ref.nf, to_plain(m, term))
-    memo_out = run_deep(m.nf, term)
+    memo_out = m.nf(term)
     assert m.pool.stats().intern_misses < ref.allocations
     assert from_plain(m, plain_out) == memo_out
 

@@ -41,12 +41,14 @@ def test_memo_fix_same_value_rebinding_accepted():
 
 def test_table_access_shares_entries_and_counters_with_memo_fix():
     # an entry written through the table's own `setdefault` is a hit for
-    # `memo_fix` and the other way round; `record` counts each miss as a
-    # body evaluation
+    # `memo_fix` and the other way round; a machine adds its own counts
+    # to the slots
     table = MemoTable()
     assert table.get((3, 7)) is None
     assert table.setdefault((3, 7), 10) == 10
-    table.record(2, 3)
+    table.hits += 2
+    table.misses += 3
+    table.body_evaluations += 3
     f = memo_fix(lambda recurse, key: key[0] * key[1], table)
     assert f((3, 7)) == 10 and f((2, 5)) == 10
     assert table.get((2, 5)) == 10 and len(table) == 2
