@@ -3,25 +3,31 @@
 Subcommands:
 
     taut         check a formula (file or generated benchmark) for
-                 tautology; exit 0 iff tautology, 1 iff not (the report
-                 then carries a falsifying `counterexample`), 2 on error
-                 (a formula or diagram deeper than the recursion
-                 limit, a generator size outside 1..`URQUHART_LIMIT`
-                 or 1..`PIGEONHOLE_LIMIT` of `formula`, and running out
-                 of memory included; the parser has no nesting limit)
+                 tautology; a non-tautology's report carries a
+                 falsifying `counterexample`
     bench        run a benchmark suite over sizes 1..N, one record per
-                 size, printed as the size finishes; exit 3 if any size
-                 is not a tautology, 2 on error: N outside the suite's
-                 generator limit (checked first) or a failing size, out
-                 of memory included (the `error:` line names the size)
+                 size, printed as the size finishes; N is checked
+                 against the suite's generator limit before any work
     lambda-sort  sort a comma-separated list of naturals through the
                  lambda-calculus quicksort, with memoization off for
-                 `--no-memo`; exit 3 on decode failure, 2 on error
-                 (`lam.STEP_GUARD` beta steps exceeded, a value above
-                 `MEMO_VALUE_LIMIT` or `NO_MEMO_VALUE_LIMIT`, and
-                 running out of memory included)
+                 `--no-memo`
 
-Reports go to stdout as JSON (schema 1), diagnostics to stderr.
+Reports go to stdout as JSON (schema 1), diagnostics to stderr.  Every
+command has the same exit statuses, and `main` maps each error to its
+status and one `error:` line (`bench`'s names the size it was on):
+
+    0  tautology; every `bench` size a tautology; `lambda-sort` sorted
+    1  `taut` only: a non-tautology, verified by its counterexample
+    2  an input or engine error: a syntax error, an unreadable or
+       non-UTF-8 file, a generator size outside 1..`URQUHART_LIMIT` or
+       1..`PIGEONHOLE_LIMIT` of `formula`, a list value above
+       `MEMO_VALUE_LIMIT` or `NO_MEMO_VALUE_LIMIT`, more than
+       `lam.STEP_GUARD` beta steps or another `MemoError`, a formula or
+       diagram deeper than the recursion limit (the parser has no
+       nesting limit), running out of memory, or a report that cannot
+       be written
+    3  a `bench` size that is not a tautology, or a `lambda-sort`
+       result that does not decode
 """
 
 from __future__ import annotations
@@ -31,13 +37,12 @@ import gc
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from . import formula as fm
 from . import lam
 from .bdd import BddManager
-from .memo import DepthExceededError, MemoError
+from .memo import MemoError
 
 SCHEMA_VERSION = 1
 
@@ -52,21 +57,13 @@ MEMO_VALUE_LIMIT = 200
 NO_MEMO_VALUE_LIMIT = 8
 
 
-@dataclass
-class RunReport:
-    command: str
-    result: Any
-    node_count: int
-    pool_stats: dict[str, int]
-    memo_stats: dict[str, dict[str, int]]
-    wall_time_ms: float
-    schema: int = SCHEMA_VERSION
-    extra: dict[str, Any] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        d.update(d.pop("extra"))
-        return json.dumps(d, sort_keys=True)
+def _report(command: str, result: Any, node_count: int, ms: float, mgr,
+            **extra: Any) -> dict[str, Any]:
+    """A schema-1 report: the run's verdict and size, the manager's
+    `pool_stats` and `memo_stats`, and the command's own fields."""
+    return {"schema": SCHEMA_VERSION, "command": command, "result": result,
+            "node_count": node_count, "wall_time_ms": ms, **mgr.stats(),
+            **extra}
 
 
 def _taut_formula(args) -> tuple[str, fm.Formula]:
@@ -79,63 +76,26 @@ def _taut_formula(args) -> tuple[str, fm.Formula]:
         return f"taut --file {args.file}", fm.parse(fh.read())
 
 
-def _check(command: str, f: fm.Formula) -> RunReport:
+def _check(command: str, f: fm.Formula) -> dict[str, Any]:
     """Compile `f` in a fresh manager and report the verdict."""
     mgr = BddManager()
     t0 = time.perf_counter()
     ref = fm.compile(mgr, f)
     taut = mgr.is_tautology(ref)
     ms = (time.perf_counter() - t0) * 1000.0
-    report = RunReport(
-        command=command,
-        result=taut,
-        node_count=mgr.node_count(ref),
-        wall_time_ms=ms,
-        **mgr.stats(),
-    )
+    report = _report(command, taut, mgr.node_count(ref), ms, mgr)
     if not taut:  # variables off the path to FALSE may take any value
         env = dict.fromkeys(fm.variables(f), False)
         env.update(mgr.sat_one(ref))
-        report.extra["counterexample"] = {f"x{v}": value
-                                          for v, value in env.items()}
+        report["counterexample"] = {f"x{v}": value
+                                    for v, value in env.items()}
     return report
 
 
-def _too_deep(where: str = "") -> int:
-    """Exit status 2 for a formula nested deeper, or building a diagram
-    deeper, than the recursive compiler and engine can follow."""
-    print(f"error: {where}formula nested too deeply to compile: its "
-          f"nesting or diagram depth exceeds the recursion limit of "
-          f"{sys.getrecursionlimit()} frames", file=sys.stderr)
-    return 2
-
-
-def _out_of_memory(exc: MemoryError, where: str = "") -> int:
-    """Exit status 2 for running out of memory.  The traceback's frames
-    hold the manager that filled memory, and its operations' closures
-    form cycles; dropping the traceback and collecting frees it, so that
-    the message can be printed."""
-    exc.__traceback__ = None
-    gc.collect()
-    print(f"error: {where}out of memory", file=sys.stderr)
-    return 2
-
-
 def cmd_taut(args) -> int:
-    try:
-        report = _check(*_taut_formula(args))
-    except MemoryError as exc:  # first: matching it allocates nothing
-        return _out_of_memory(exc)
-    except (fm.FormulaError, MemoError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: {args.file}: not UTF-8 text: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        return _too_deep()
-    print(report.to_json())
-    return 0 if report.result else 1
+    report = _check(*_taut_formula(args))
+    print(json.dumps(report, sort_keys=True))
+    return 0 if report["result"] else 1
 
 
 def cmd_bench(args) -> int:
@@ -143,29 +103,20 @@ def cmd_bench(args) -> int:
                        if args.suite == "urquhart"
                        else (fm.pigeonhole, fm.PIGEONHOLE_LIMIT))
     if not 1 <= args.max <= limit:  # checked before any size is built
-        print(f"error: --max must be in 1..{limit}", file=sys.stderr)
-        return 2
+        raise fm.RangeError(f"--max must be in 1..{limit}")
     all_taut = True
     for size in range(1, args.max + 1):
-        where = f"{args.suite}({size}): "
-        try:
-            r = _check(f"bench {args.suite} --size {size}", generate(size))
-        except MemoryError as exc:
-            return _out_of_memory(exc, where)
-        except (fm.FormulaError, MemoError) as exc:
-            print(f"error: {where}{exc}", file=sys.stderr)
-            return 2
-        except RecursionError:
-            return _too_deep(where)
-        r.extra["size"] = size
+        args.where = f"{args.suite}({size}): "
+        r = _check(f"bench {args.suite} --size {size}", generate(size))
+        r["size"] = size
         if args.json:
-            print(r.to_json(), flush=True)
+            print(json.dumps(r, sort_keys=True), flush=True)
         else:
-            status = "tautology" if r.result else "NOT A TAUTOLOGY"
-            print(f"{where}{status}, {r.node_count} result nodes, "
-                  f"{r.pool_stats['node_count']} pool nodes, "
-                  f"{r.wall_time_ms:.1f} ms", flush=True)
-        all_taut = all_taut and r.result
+            status = "tautology" if r["result"] else "NOT A TAUTOLOGY"
+            print(f"{args.where}{status}, {r['node_count']} result nodes, "
+                  f"{r['pool_stats']['node_count']} pool nodes, "
+                  f"{r['wall_time_ms']:.1f} ms", flush=True)
+        all_taut = all_taut and r["result"]
     if not all_taut:
         print("error: benchmark formula was not a tautology "
               "(engine bug)", file=sys.stderr)
@@ -186,44 +137,24 @@ def _parse_csv(text: str) -> list[int]:
 
 
 def cmd_lambda_sort(args) -> int:
-    try:
-        values = _parse_csv(args.list)
-        if args.no_memo and any(v > NO_MEMO_VALUE_LIMIT for v in values):
-            raise ValueError(
-                f"--no-memo restricts values to <= {NO_MEMO_VALUE_LIMIT}"
-            )
-        if any(v > MEMO_VALUE_LIMIT for v in values):
-            raise ValueError(f"values must be <= {MEMO_VALUE_LIMIT}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    values = _parse_csv(args.list)
+    if args.no_memo and any(v > NO_MEMO_VALUE_LIMIT for v in values):
+        raise ValueError(
+            f"--no-memo restricts values to <= {NO_MEMO_VALUE_LIMIT}")
+    if any(v > MEMO_VALUE_LIMIT for v in values):
+        raise ValueError(f"values must be <= {MEMO_VALUE_LIMIT}")
     mgr = lam.LambdaManager(memo_enabled=not args.no_memo)
     t0 = time.perf_counter()
-    try:
-        term = mgr.mk_app(lam.quicksort_term(mgr),
-                          lam.church_list(mgr, values))
-        sorted_values = lam.decode_list(mgr, mgr.nf(term))
-    except MemoryError as exc:
-        return _out_of_memory(exc)
-    except lam.ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DepthExceededError as exc:  # the step guard
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    term = mgr.mk_app(lam.quicksort_term(mgr), lam.church_list(mgr, values))
+    sorted_values = lam.decode_list(mgr, mgr.nf(term))
     ms = (time.perf_counter() - t0) * 1000.0
     print(",".join(str(v) for v in sorted_values))
-    report = RunReport(
-        command=f"lambda-sort --list {args.list}"
-                + (" --no-memo" if args.no_memo else ""),
-        result=sorted_values,
-        node_count=len(mgr.pool),
-        wall_time_ms=ms,
-        extra={"reduction_steps": mgr.reduction_steps,
-               "allocations": mgr.pool.stats().intern_misses},
-        **mgr.stats(),
-    )
-    print(report.to_json())
+    report = _report(f"lambda-sort --list {args.list}"
+                     + (" --no-memo" if args.no_memo else ""),
+                     sorted_values, len(mgr.pool), ms, mgr,
+                     reduction_steps=mgr.reduction_steps,
+                     allocations=mgr.pool.stats().intern_misses)
+    print(json.dumps(report, sort_keys=True))
     return 0
 
 
@@ -258,8 +189,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; map each error it raises, printing the report
+    included, to its exit status and one `error:` line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    args.where = ""  # `bench` names the size it is on
+    try:
+        return args.func(args)
+    except MemoryError as exc:  # first: matching it allocates nothing
+        # the traceback's frames hold the manager that filled memory,
+        # and its operations' closures form cycles: drop and collect
+        exc.__traceback__ = None
+        gc.collect()
+        status, message = 2, "out of memory"
+    except RecursionError:
+        status, message = 2, (
+            f"formula nested too deeply to compile: its nesting or "
+            f"diagram depth exceeds the recursion limit of "
+            f"{sys.getrecursionlimit()} frames")
+    except UnicodeDecodeError as exc:  # only `taut --file` decodes
+        status, message = 2, f"{args.file}: not UTF-8 text: {exc}"
+    except lam.ShapeError as exc:
+        status, message = 3, str(exc)
+    except (fm.FormulaError, MemoError, OSError, ValueError) as exc:
+        status, message = 2, str(exc)
+    print(f"error: {args.where}{message}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import errno
 import inspect
 import json
 import os
@@ -14,6 +15,7 @@ from maxshare import cli
 from maxshare import formula as fm
 from maxshare import lam
 from maxshare.cli import main
+from maxshare.memo import MemoContractError
 
 
 def run_cli(capsys, *argv):
@@ -72,26 +74,55 @@ def test_taut_generator_size_out_of_range_exit_two(capsys, flag, limit,
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def _raise_memory_error(*args):
-    raise MemoryError
+_COMMANDS = {
+    "taut": ["taut", "--urquhart", "3"],
+    "bench": ["bench", "pigeonhole", "--max", "2"],
+    "lambda-sort": ["lambda-sort", "--list", "2,1,0"],
+    "lambda-sort-no-memo": ["lambda-sort", "--list", "2,1,0", "--no-memo"],
+}
 
 
-@pytest.mark.parametrize("argv", [
-    ["taut", "--urquhart", "3"],
-    ["bench", "pigeonhole", "--max", "2"],
-    ["lambda-sort", "--list", "2,1,0"],
-    ["lambda-sort", "--list", "2,1,0", "--no-memo"],
-], ids=["taut", "bench", "lambda-sort", "lambda-sort-no-memo"])
-def test_out_of_memory_exit_two(capsys, monkeypatch, argv):
-    # running out of memory is an engine error (2), never "not a
-    # tautology" (1)
-    monkeypatch.setattr(fm, "compile", _raise_memory_error)
-    monkeypatch.setattr(lam.LambdaManager, "nf", _raise_memory_error)
+@pytest.mark.parametrize("argv, error, expected", [
+    pytest.param(argv, error, expected, id=name + suffix)
+    for suffix, error, expected in [
+        ("", MemoryError, "out of memory"),
+        ("-rebound", lambda: MemoContractError.rebound(1, 2, 3), "rebound"),
+    ]
+    for name, argv in _COMMANDS.items()
+])
+def test_out_of_memory_exit_two(capsys, monkeypatch, argv, error, expected):
+    # running out of memory, or any other engine error, exits 2 from
+    # every command, never 1 ("not a tautology") with a traceback
+    def fail(*args):
+        raise error()
+    monkeypatch.setattr(fm, "compile", fail)
+    monkeypatch.setattr(lam.LambdaManager, "nf", fail)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "out of memory" in err
+    assert err.startswith("error: ") and expected in err
     assert "Traceback" not in err
+
+
+class _FullStdout:
+    """A stdout on a full disk, as `>/dev/full` unbuffered."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("name", ["taut", "bench", "lambda-sort"])
+def test_unwritable_report_exit_two(capsys, monkeypatch, name):
+    # a report that cannot be written is an error (2), not "not a
+    # tautology" (1)
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code, _, err = run_cli(capsys, *_COMMANDS[name])
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "No space left" in line
 
 
 def test_taut_parse_error_exit_two(tmp_path, capsys):
@@ -432,3 +463,83 @@ def test_taut_file_not_utf8(tmp_path, capsys):
     code, out, err = run_cli(capsys, "taut", "--file", str(path))
     assert code == 2
     assert out == "" and err.startswith("error: ") and "UTF-8" in err
+
+
+# At most 4 values per list and at most one of them above 9: memoized,
+# `200,200,200` takes over a second, and `8,7,6,5 --no-memo` about 0.3 s.
+_SMALL_VALUES = [str(d) for d in range(10)] + ["", "-1", "\u0661"]
+_LARGE_VALUES = ["200", "201", "1_0"]
+_NOISE = ["", " ", "x", "+"]
+
+
+@st.composite
+def _lists(draw):
+    values = draw(st.lists(st.sampled_from(_SMALL_VALUES), max_size=4))
+    if values and draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=len(values) - 1))
+        values[at] = draw(st.sampled_from(_LARGE_VALUES))
+    return ",".join(draw(st.sampled_from(_NOISE)) + value
+                    + draw(st.sampled_from(_NOISE)) for value in values)
+
+
+_ARGVS = st.one_of(
+    st.builds(lambda n: ["taut", "--urquhart", str(n)],
+              st.integers(min_value=-3, max_value=400) | st.just(10**11)),
+    # P(7) takes 0.12 s and P(9) 1.8 s
+    st.builds(lambda n: ["taut", "--pigeonhole", str(n)],
+              st.integers(min_value=-2, max_value=6)
+              | st.sampled_from([21, 10**11])),
+    st.builds(lambda text, flags: ["lambda-sort", f"--list={text}", *flags],
+              _lists(), st.sampled_from([[], ["--no-memo"]])),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_ARGVS)
+def test_exit_contract_fuzz(capsys, argv):
+    # Hypothesis raises the recursion limit while it runs a test, so
+    # U(332..400) compile here; the `too_deep` tests cover that row
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: ")
+    if code == 0:
+        json.loads(out.splitlines()[-1])
+
+
+_TABLE_FIELDS = ["body_evaluations", "hits", "misses"]
+_POOL_FIELDS = ["intern_hits", "intern_misses", "node_count"]
+_BASE_FIELDS = ["command", "memo_stats", "node_count", "pool_stats",
+                "result", "schema", "wall_time_ms"]
+
+
+@pytest.mark.parametrize("argv, fields, tables", [
+    (["taut", "--urquhart", "3"], [], ["and", "not", "or", "xor"]),
+    (["taut", "--file", "CONTINGENT"], ["counterexample"],
+     ["and", "not", "or", "xor"]),
+    (["bench", "urquhart", "--max", "1", "--json"], ["size"],
+     ["and", "not", "or", "xor"]),
+    (["lambda-sort", "--list", "2,1"], ["allocations", "reduction_steps"],
+     ["hnf", "lifti", "nf", "subst"]),
+    (["lambda-sort", "--list", "2,1", "--no-memo"],
+     ["allocations", "reduction_steps"], ["hnf", "lifti", "nf", "subst"]),
+], ids=["taut", "taut-contingent", "bench", "lambda-sort",
+        "lambda-sort-no-memo"])
+def test_schema_one_field_sets(tmp_path, capsys, argv, fields, tables):
+    # the report's fields, schema 1; a new schema changes this test on
+    # purpose
+    path = tmp_path / "contingent.bf"
+    path.write_text("x1 & !x2 | x3\n")
+    argv = [str(path) if arg == "CONTINGENT" else arg for arg in argv]
+    _, out, _ = run_cli(capsys, *argv)
+    report = json.loads(out.splitlines()[-1])
+    assert sorted(report) == sorted(_BASE_FIELDS + fields)
+    assert report["schema"] == 1
+    assert sorted(report["pool_stats"]) == _POOL_FIELDS
+    assert sorted(report["memo_stats"]) == tables
+    for row in report["memo_stats"].values():
+        assert sorted(row) == _TABLE_FIELDS

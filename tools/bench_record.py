@@ -10,7 +10,9 @@ commit, `--parent DIR`, runs the same commands, alternating which side
 runs first from one seed to the next, and the file also counts the
 pairs each side won.  Only the standard library is used, and nothing
 about how `run.py` measures is changed: this script only starts it and
-reads the last line of its output.
+reads the last line of its output.  Each run starts with an empty
+bytecode cache that it does not write to, so no side's set-up reads
+`.pyc` files left in its checkout.
 
 The file holds, for each side, the git revision, a digest of the
 library source it ran, each run's raw record, the median and quartiles
@@ -29,6 +31,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -66,8 +69,13 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, capture_output=True, text=True,
-                          timeout=10 * seconds + 300)
+    # an empty bytecode cache that is not written to: each side compiles
+    # its source, whatever `.pyc` files its checkout holds
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache,
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                              timeout=10 * seconds + 300)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n"
