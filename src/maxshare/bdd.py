@@ -137,9 +137,9 @@ class BddManager:
             with its low pair, so the low subproblem finishes before the
             high one starts, as under recursion, and the same keys hit.
             Keys are `(min, max)`, and values are ids, never None, so
-            `get`'s None is a miss.  The counts go to the table when a
-            call returns or raises, body evaluations as the entries
-            stored."""
+            `get`'s None is a miss.  A build counts its body evaluation
+            after its store, and the counts go to the table when a call
+            returns or raises: body evaluations are the entries stored."""
             get, setdefault = table.get, table.setdefault
 
             def step(x: int, y: int) -> int:
@@ -156,7 +156,7 @@ class BddManager:
                     return r
                 work: list[tuple] = []
                 out: list[int] = []
-                hits = misses = lost = 0
+                hits = misses = evals = 0
                 try:
                     while True:
                         # (x, y) missed under `key`: push its build and
@@ -198,20 +198,15 @@ class BddManager:
                                 old = setdefault(y, r)
                                 if old != r:
                                     raise MemoContractError.rebound(y, old, r)
+                                evals += 1
                                 if not work:
                                     return r
                                 x, y = work.pop()
                             out.append(r)
-                except BaseException:
-                    # each miss pushed one build; those still on `work`,
-                    # and the one popped (x < 0) whose intern or store
-                    # raised, stored nothing
-                    lost = (x < 0) + sum(1 for b, _ in work if b < 0)
-                    raise
                 finally:
                     table.hits += hits
                     table.misses += misses
-                    table.body_evaluations += misses - lost
+                    table.body_evaluations += evals
 
             return step
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 from typing import Any
@@ -194,7 +195,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.where = ""  # `bench` names the size it is on
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a full stdout fails here, not at exit; `print` skips a None one
+        print(end="", flush=True)
+        return status
     except MemoryError as exc:  # first: matching it allocates nothing
         # the traceback's frames hold the manager that filled memory,
         # and its operations' closures form cycles: drop and collect
@@ -213,6 +217,10 @@ def main(argv: list[str] | None = None) -> int:
     except (fm.FormulaError, MemoError, OSError, ValueError) as exc:
         status, message = 2, str(exc)
     print(f"error: {args.where}{message}", file=sys.stderr)
+    try:  # leave the shutdown flush nothing to fail on
+        print(end="", flush=True)
+    except OSError:
+        sys.stdout = open(os.devnull, "w")
     return status
 
 

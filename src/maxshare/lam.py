@@ -278,10 +278,10 @@ class LambdaManager:
                                 r = abs_(r)
                             elif c == -2:
                                 r = app(out.pop(), r)
-                            evals += 1
                             old = setdefault(t, r)
                             if old != r:
                                 raise MemoContractError.rebound(t, old, r)
+                            evals += 1
                         else:
                             return r
                 finally:
@@ -358,10 +358,10 @@ class LambdaManager:
                                 r = abs_(r)
                             elif kind == APP:
                                 r = app(out.pop(), r)
-                            evals += 1
                             old = setdefault(t, r)
                             if old != r:
                                 raise MemoContractError.rebound(t, old, r)
+                            evals += 1
                         else:
                             return r
                 finally:

@@ -14,7 +14,10 @@ Every caller probes a table through its own `get`/`setdefault`:
 `memo_fix` (the BDD engine's `xor`/`not`), the BDD engine's
 explicit-stack `and`/`or`, and the lambda engine's two explicit-stack
 machines (`lifti`/`subst` and `hnf`/`nf`).  An operation whose operands
-commute keys `(min, max)` itself before the probe.
+commute keys `(min, max)` itself before the probe.  Each counts a body
+evaluation once its value has reached the table (after `setdefault`
+and its rebound check), so a raise leaves `len(table) ==
+body_evaluations` in a memoizing table.
 
 `memo_fix` adds no recursion guard of its own: a body that is not
 well-founded ends in Python's `RecursionError`.  The lambda normalizer
@@ -109,10 +112,10 @@ def memo_fix(
             return cached
         table.misses += 1
         value = body(recurse, key)
-        table.body_evaluations += 1
         old = setdefault(key, value)
         if old != value:
             raise MemoContractError.rebound(key, old, value)
+        table.body_evaluations += 1
         return value
 
     return recurse

@@ -1,10 +1,26 @@
 import random
 
 import hypothesis.strategies as st
+import pytest
 
 from maxshare.formula import (
     And, Const, Formula, Iff, Implies, Not, Or, Var, Xor,
 )
+from maxshare.memo import MemoTable
+
+pytest.register_assert_rewrite("invariants")
+
+
+class BudgetTable(MemoTable):
+    """A memo table whose store raises MemoryError once it holds
+    `budget` entries, as an allocation failure would."""
+
+    budget = None
+
+    def setdefault(self, key, value):
+        if self.budget is not None and len(self) >= self.budget:
+            raise MemoryError
+        return super().setdefault(key, value)
 
 _BINARY = (And, Or, Xor, Implies, Iff)
 

@@ -8,6 +8,7 @@ import random
 import time
 
 from conftest import equivalent_variant, random_formula
+from invariants import check_invariants
 from maxshare.bdd import BddManager
 from maxshare.cli import main
 from maxshare.formula import compile as compile_formula
@@ -141,9 +142,14 @@ def test_criterion_5_maximal_sharing(capsys):
     term = lam_mgr.mk_app(quicksort_term(lam_mgr),
                           church_list(lam_mgr, [0, 3, 5, 2, 4, 1]))
     decode_list(lam_mgr, lam_mgr.nf(term))
-    ok = (bdd_mgr.pool.scan_duplicates() == []
-          and lam_mgr.pool.scan_duplicates() == [])
-    report(5, "no duplicates in BDD pool or term pool", ok)
+    try:
+        check_invariants(bdd_mgr)
+        check_invariants(lam_mgr)
+        ok = True
+    except AssertionError:
+        ok = False
+    report(5, "no duplicates in BDD pool or term pool; nodes and memo "
+              "tables consistent", ok)
 
 
 def test_criterion_6_memoizing_fixpoint(capsys):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 
 import bdd_spec
-from conftest import formulas, random_formula
+from conftest import BudgetTable, formulas, random_formula
+from invariants import check_invariants
 from maxshare import bdd
 from maxshare.bdd import (
     FALSE,
@@ -227,18 +228,6 @@ def test_node_count():
 
 # -- invariants ------------------------------------------------------------
 
-def _check_reduced_ordered(mgr):
-    # through the public observers only, independent of the node layout
-    for uid in range(len(mgr.pool)):
-        if mgr.is_leaf(uid):
-            continue
-        n = mgr.node(uid)
-        assert n.low != n.high
-        assert mgr.head_var(uid) == n.var
-        assert n.var < mgr.head_var(n.low)
-        assert n.var < mgr.head_var(n.high)
-
-
 def test_pool_reduced_and_ordered_after_workload():
     rng = random.Random(5)
     mgr = BddManager()
@@ -246,8 +235,7 @@ def test_pool_reduced_and_ordered_after_workload():
         a, b = compiled_pair(rng, mgr)
         mgr.apply2("and", a, b)
         mgr.mk_ite(a, b, mgr.mk_not(a))
-    _check_reduced_ordered(mgr)
-    assert mgr.pool.scan_duplicates() == []
+    check_invariants(mgr)
 
 
 def test_monotonicity():
@@ -321,15 +309,14 @@ def test_canonicity_property(f, g):
 
 
 def _counters(mgr):
+    check_invariants(mgr)
     s = mgr.pool.stats()
     tables = {name: (len(t), t.hits)
               for name, t in (("and", mgr.m_and), ("or", mgr.m_or),
                               ("xor", mgr.m_xor), ("not", mgr.m_not))
               if len(t)}
     for t in (mgr.m_and, mgr.m_or, mgr.m_xor, mgr.m_not):
-        assert t.body_evaluations == t.misses == len(t)
-    # a one-operand table is keyed on the id itself, not a 1-tuple
-    assert all(type(k) is int for k in mgr.m_not)
+        assert t.misses == t.body_evaluations
     return s.node_count, s.intern_hits, tables
 
 
@@ -361,7 +348,6 @@ def test_pinned_counters_pigeonhole_8():
     assert _counters(mgr) == (153_228, 50_780, {"and": (352, 0),
                                                 "or": (218_027, 103_490),
                                                 "not": (74, 71)})
-    assert not mgr.pool.scan_duplicates()
 
 
 # -- and/or on an explicit stack --------------------------------------------
@@ -406,7 +392,7 @@ def test_and_or_memo_transparent_and_pointwise(f, g):
                 assert mgr.eval(out[op], env) == fn(eval_formula(f, env),
                                                     eval_formula(g, env))
         results.append((a, b, out, len(mgr.pool)))
-        assert not mgr.pool.scan_duplicates()
+        check_invariants(mgr)
     assert results[0] == results[1]
 
 
@@ -424,21 +410,26 @@ class _BudgetPool(Pool):
 
 @pytest.mark.parametrize("budget", [3_000, 9_000])
 def test_and_or_counters_survive_a_raising_intern(monkeypatch, budget):
-    # the machine adds its counts to the table when a call raises too,
-    # counting only the entries it stored as body evaluations; the
-    # manager stays usable
+    # an intern (the pool holds `budget` nodes) or a store (a table
+    # holds `budget` entries) raises inside the `or` machine, which adds
+    # its counts to the tables all the same: a build counts its body
+    # evaluation only once its store is done.  The manager stays usable.
     monkeypatch.setattr(bdd, "Pool", _BudgetPool)
-    mgr = BddManager()
-    mgr.pool.budget = budget
-    with pytest.raises(MemoryError):
-        compile_formula(mgr, pigeonhole(6))
-    tables = (mgr.m_and, mgr.m_or, mgr.m_xor, mgr.m_not)
-    assert all(len(t) == t.body_evaluations for t in tables)
-    assert mgr.m_or.misses > len(mgr.m_or)  # the failing call's misses
-    mgr.pool.budget = None
-    assert compile_formula(mgr, pigeonhole(4)) == TRUE
-    assert all(len(t) == t.body_evaluations for t in tables)
-    assert mgr.pool.scan_duplicates() == []
+    monkeypatch.setattr(bdd, "MemoTable", BudgetTable)
+    for where in ("pool", "tables"):
+        mgr = BddManager()
+        tables = (mgr.m_and, mgr.m_or, mgr.m_xor, mgr.m_not)
+        full = (mgr.pool,) if where == "pool" else tables
+        for x in full:
+            x.budget = budget
+        with pytest.raises(MemoryError):
+            compile_formula(mgr, pigeonhole(6))
+        check_invariants(mgr)
+        assert mgr.m_or.misses > len(mgr.m_or)  # the failing call's misses
+        for x in full:
+            x.budget = None
+        assert compile_formula(mgr, pigeonhole(4)) == TRUE
+        check_invariants(mgr)
 
 
 # -- the steps against the recursive specification --------------------------
@@ -484,6 +475,7 @@ def test_steps_match_recursive_spec(memo, prog):
         a, b = getattr(machine, name), getattr(spec, name)
         assert (dict(a), a.hits, a.misses, a.body_evaluations) == \
             (dict(b), b.hits, b.misses, b.body_evaluations), name
+    check_invariants(machine)
 
 
 # -- sat_one ---------------------------------------------------------------

@@ -105,23 +105,64 @@ def test_out_of_memory_exit_two(capsys, monkeypatch, argv, error, expected):
 
 
 class _FullStdout:
-    """A stdout on a full disk, as `>/dev/full` unbuffered."""
+    """A stdout on a full disk, as `>/dev/full`: unbuffered, `write`
+    fails; buffered, `write` keeps the text and `flush` fails."""
+
+    def __init__(self, buffered):
+        self.buffered = buffered
+        self.pending = ""
 
     def write(self, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        if not self.buffered:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.pending += text
 
     def flush(self):
-        pass
+        if self.pending:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-@pytest.mark.parametrize("name", ["taut", "bench", "lambda-sort"])
-def test_unwritable_report_exit_two(capsys, monkeypatch, name):
+@pytest.mark.parametrize("name, buffered", [
+    pytest.param(name, buffered, id=name + suffix)
+    for suffix, buffered in [("", False), ("-buffered", True)]
+    for name in ["taut", "bench", "lambda-sort"]
+])
+def test_unwritable_report_exit_two(capsys, monkeypatch, name, buffered):
     # a report that cannot be written is an error (2), not "not a
-    # tautology" (1)
-    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    # tautology" (1); buffered, `main` flushes before it returns, and
+    # leaves the interpreter's flush at exit nothing to fail on
+    monkeypatch.setattr(sys, "stdout", _FullStdout(buffered))
     code, _, err = run_cli(capsys, *_COMMANDS[name])
     assert code == 2
     [line] = err.splitlines()
+    assert line.startswith("error: ") and "No space left" in line
+    if buffered:
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+
+
+def test_closed_stdout_keeps_the_verdict(capsys, monkeypatch):
+    # with file descriptor 1 closed, `sys.stdout` is None and `print`
+    # writes nothing: the status is still the verdict's
+    monkeypatch.setattr(sys, "stdout", None)
+    code, _, err = run_cli(capsys, *_COMMANDS["taut"])
+    assert code == 0 and err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("name", ["taut", "bench", "lambda-sort"])
+def test_full_buffered_stdout_exit_two(name):
+    # the process's status, not only `main`'s: a failed flush at exit
+    # would make it 120
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxshare", *_COMMANDS[name]],
+            env={**env, "PYTHONPATH": str(src)}, stdout=full,
+            stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()
     assert line.startswith("error: ") and "No space left" in line
 
 

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 
 import lam_spec
+from conftest import BudgetTable
+from invariants import check_invariants
 from maxshare import lam
 from maxshare.intern import UnknownIdError
 from maxshare.lam import (
-    ABS_TAG,
-    APP_TAG,
-    VAR_TAG,
     DeepStackError,
     LambdaManager,
     PlainNormalizer,
@@ -117,7 +116,7 @@ def test_no_duplicates_after_many_terms(mgr):
     rng = random.Random(13)
     for _ in range(10_000):
         random_term(mgr, rng, 4)
-    assert mgr.pool.scan_duplicates() == []
+    check_invariants(mgr)
 
 
 # -- lift / subst ----------------------------------------------------------
@@ -191,16 +190,13 @@ def test_bound_matches_free_indices(plain):
 @settings(max_examples=100, deadline=None)
 @given(plain_terms(), plain_terms(), st.integers(0, 4))
 def test_children_precede_parents(pw, pt, n):
-    # acyclicity: every node's child ids are below its own id, for the
-    # nodes the constructors and the subst/lifti bodies build
+    # acyclicity and exact bounds for the nodes the constructors and the
+    # subst/lifti bodies build
     m = LambdaManager()
     w, t = from_plain(m, pw), from_plain(m, pt)
     m.subst(w, n, t)
     m.lifti(n, t, 0)
-    for uid, (tag, x, y) in enumerate(m.pool.back):
-        children = {VAR_TAG: (), ABS_TAG: (x,), APP_TAG: (x, y)}[tag]
-        assert all(0 <= c < uid for c in children)
-    assert m.pool.scan_duplicates() == []
+    check_invariants(m)
 
 
 @pytest.mark.parametrize("memo", [True, False])
@@ -347,7 +343,7 @@ def test_machines_match_recursive_spec(memo, seed, n, k):
         a, b = getattr(machine, name), getattr(spec, name)
         assert (dict(a), a.hits, a.misses, a.body_evaluations) == \
             (dict(b), b.hits, b.misses, b.body_evaluations), name
-    assert machine.pool.scan_duplicates() == []
+    check_invariants(machine)
 
 
 def test_machines_match_spec_on_quicksort_steps():
@@ -362,28 +358,45 @@ def test_machines_match_spec_on_quicksort_steps():
     assert machine.stats() == spec.stats()
 
 
+def _sort_term(m, values):
+    return m.mk_app(quicksort_term(m), church_list(m, values))
+
+
 def test_step_guard_leaves_tables_consistent(monkeypatch):
     # Omega never normalizes: on the calling thread hnf and nf trip the
-    # step guard, not the recursion limit, and leave every table with
-    # one stored entry per counted body evaluation.
+    # step guard, not the recursion limit.  That, or a store that raises
+    # in any one table (at about half the entries the whole sort
+    # stores), leaves every table with one stored entry per counted body
+    # evaluation, and the manager usable.
     monkeypatch.setattr(lam, "STEP_GUARD", 1000)
+    monkeypatch.setattr(lam, "MemoTable", BudgetTable)
     m = LambdaManager()
     half = m.mk_abs(m.mk_app(m.mk_var(0), m.mk_var(0)))
     omega = m.mk_app(half, half)
     for op in (m.hnf, m.nf):
         with pytest.raises(DepthExceededError):
             op(omega)
-    tables = (m.m_lifti, m.m_subst, m.m_hnf, m.m_nf)
-    assert all(len(t) == t.body_evaluations for t in tables)
     assert m.m_hnf.misses > len(m.m_hnf)
-    # the manager stays usable: the same sort as on a fresh manager
+    failed = [m]
+    for name, budget in [("m_lifti", 40), ("m_subst", 700), ("m_hnf", 500),
+                         ("m_nf", 20)]:
+        x = LambdaManager()
+        table = getattr(x, name)
+        table.budget = budget
+        with pytest.raises(MemoryError):
+            x.nf(_sort_term(x, [3, 1, 2, 0]))
+        assert table.misses > len(table)
+        table.budget = None
+        failed.append(x)
     monkeypatch.undo()
     fresh = LambdaManager()
-    outs = [to_plain(x, x.nf(x.mk_app(quicksort_term(x),
-                                      church_list(x, [2, 0, 1]))))
-            for x in (m, fresh)]
-    assert outs[0] == outs[1]
-    assert decode_list(fresh, from_plain(fresh, outs[0])) == [0, 1, 2]
+    r = fresh.nf(_sort_term(fresh, [2, 0, 1]))
+    assert decode_list(fresh, r) == [0, 1, 2]
+    for x in failed:
+        check_invariants(x)
+        out = x.nf(_sort_term(x, [2, 0, 1]))
+        assert to_plain(x, out) == to_plain(fresh, r)
+        check_invariants(x)
 
 
 # -- Church encodings ------------------------------------------------------
@@ -442,7 +455,7 @@ def test_quicksort_with_duplicates():
 
 def test_quicksort_pool_has_no_duplicates():
     _, m = sort_via_lambda([3, 1, 2, 0])
-    assert m.pool.scan_duplicates() == []
+    check_invariants(m)
 
 
 def test_memo_effectiveness_on_four_element_sort():

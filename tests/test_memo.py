@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxshare.bdd import BddManager
+from conftest import BudgetTable
+from invariants import check_invariants
+from maxshare import bdd
+from maxshare.bdd import TRUE, BddManager
 from maxshare.formula import compile as compile_formula
-from maxshare.formula import pigeonhole
+from maxshare.formula import pigeonhole, urquhart
 from maxshare.lam import LambdaManager, church_list, quicksort_term
 from maxshare.memo import (
     ForgetfulTable,
@@ -55,6 +58,21 @@ def test_table_access_shares_entries_and_counters_with_memo_fix():
     assert (table.hits, table.misses, table.body_evaluations) == (3, 4, 4)
     assert table.setdefault((2, 5), 11) == 10
     assert "rebound: 10 -> 11" in str(MemoContractError.rebound((2, 5), 10, 11))
+
+
+def test_memo_fix_counts_only_stored_evaluations(monkeypatch):
+    # `xor` and `not` run on `memo_fix`: a store that raises (a table
+    # holds 100 entries) leaves one stored entry per counted body
+    # evaluation, and the manager usable
+    monkeypatch.setattr(bdd, "MemoTable", BudgetTable)
+    mgr = BddManager()
+    mgr.m_xor.budget = mgr.m_not.budget = 100
+    with pytest.raises(MemoryError):
+        compile_formula(mgr, urquhart(50))
+    check_invariants(mgr)
+    mgr.m_xor.budget = mgr.m_not.budget = None
+    assert compile_formula(mgr, urquhart(50)) == TRUE
+    check_invariants(mgr)
 
 
 def _exp_body(recurse, key):
