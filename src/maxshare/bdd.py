@@ -12,8 +12,11 @@ preallocated as `(LEAF_VAR, 0, 0)` (FALSE, id 0) and `(LEAF_VAR, 1, 1)`
 (TRUE, id 1), so `nodes[x][0]` is the head variable of any id, leaves
 included.  `and`, `or`, `xor` and `not` each have a memo table (the
 computed table); `mk_ite(c, t, e)` is `or(and(c, t), and(not c, e))`,
-the same canonical diagram a ternary expansion would name.  `and`,
-`or` and `xor` key their tables on `(min, max)`, `not` on the id.
+the same canonical diagram a ternary expansion would name.  `and` and
+`or` key their tables on `(min, max)` packed into one int, `min << 32 |
+max` (pool ids stay below 2**32: such a pool would need hundreds of
+GB), `xor` on the tuple `(min, max)`, which its `memo_fix` body
+unpacks faster than an int, and `not` on the id.
 
 `and` and `or` are one explicit-stack machine that visits, memoizes and
 interns in the recursion's order, so every counter is the recursion's.
@@ -136,7 +139,8 @@ class BddManager:
             A missed pair pushes its build and its high pair and goes on
             with its low pair, so the low subproblem finishes before the
             high one starts, as under recursion, and the same keys hit.
-            Keys are `(min, max)`, and values are ids, never None, so
+            Keys are `min << 32 | max`, made from the pair in `x` and
+            `y` and never unpacked, and values are ids, never None, so
             `get`'s None is a miss.  A build counts its body evaluation
             after its store, and the counts go to the table when a call
             returns or raises: body evaluations are the entries stored."""
@@ -149,7 +153,7 @@ class BddManager:
                     return y
                 if y == unit:
                     return x
-                key = (x, y) if x < y else (y, x)
+                key = (x << 32 | y) if x < y else (y << 32 | x)
                 r = get(key)
                 if r is not None:
                     table.hits += 1
@@ -184,7 +188,7 @@ class BddManager:
                             elif y == unit:
                                 r = x
                             else:
-                                key = (x, y) if x < y else (y, x)
+                                key = (x << 32 | y) if x < y else (y << 32 | x)
                                 r = get(key)
                                 if r is None:
                                     break

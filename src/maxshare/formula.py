@@ -1,6 +1,8 @@
 """Propositional formulas: AST, text syntax, truth-table oracle, BDD
 compilation, and the two benchmark families (Urquhart chains and the
-pigeonhole principle).
+pigeonhole principle).  The AST classes are immutable `__slots__`
+classes, not dataclasses: `dataclasses.fields` and `replace` do not
+apply to them.
 
 Text grammar; the `_OPERATORS` table, which `parse` and
 `print_formula` both read, holds each operator's symbol, binding level
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Mapping, Union
 
 from .bdd import FALSE, LEAF_VAR, TRUE, BddManager, UnboundVariableError
@@ -55,11 +57,26 @@ class OracleLimitError(FormulaError):
 
 
 class _Ast:
-    """Base of the AST classes.  `==`, `hash` and `repr` mean what the
-    dataclass-generated ones would (equal: same class and equal fields;
-    `repr` such as `Not(operand=Var(index=1))`), but run on explicit
-    stacks, so a formula of any depth compares, hashes and prints.  Each
-    class's fields are its `__match_args__`, in declaration order."""
+    """Base of the AST classes, immutable `__slots__` classes whose
+    fields are their `__match_args__`, in order.  `==`, `hash` and
+    `repr` mean what a frozen dataclass's generated ones would (equal:
+    same class and equal fields; `repr` such as
+    `Not(operand=Var(index=1))`), but run on explicit stacks, so a
+    formula of any depth compares, hashes and prints.  Setting or
+    deleting an attribute raises `FrozenInstanceError`, and `copy` and
+    `pickle` rebuild a node from its class and field values."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -112,52 +129,60 @@ class _Ast:
         return "".join(out)
 
 
-_ast = dataclass(frozen=True, eq=False, repr=False)
-
-
-@_ast
 class Const(_Ast):
-    value: bool
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        _set_value(self, value)
 
 
-@_ast
 class Var(_Ast):
-    index: int
+    __slots__ = __match_args__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        _set_index(self, index)
 
 
-@_ast
 class Not(_Ast):
-    operand: "Formula"
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: Formula) -> None:
+        _set_operand(self, operand)
 
 
-@_ast
-class And(_Ast):
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Ast):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
 
 
-@_ast
-class Or(_Ast):
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@_ast
-class Xor(_Ast):
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@_ast
-class Implies(_Ast):
-    left: "Formula"
-    right: "Formula"
+class Xor(_Binary):
+    __slots__ = ()
 
 
-@_ast
-class Iff(_Ast):
-    left: "Formula"
-    right: "Formula"
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
+
+
+# Each slot's descriptor stores its field once, in `__init__`, past the
+# `__setattr__` that keeps the nodes immutable.
+_set_value, _set_index, _set_operand, _set_left, _set_right = (
+    Const.value.__set__, Var.index.__set__, Not.operand.__set__,
+    _Binary.left.__set__, _Binary.right.__set__)
 
 
 Formula = Union[Const, Var, Not, And, Or, Xor, Implies, Iff]
@@ -467,7 +492,10 @@ def compile(mgr: BddManager, f: Formula) -> int:
         r = steps[op](build(f.left, left_negated), build(f.right, False))
         return not_(r) if negated else r
 
-    return build(f, False)
+    try:
+        return build(f, False)
+    finally:
+        del build  # it refers to itself: free it without the cyclic GC
 
 
 def equiv_counterexample(f: Formula, g: Formula,

@@ -3,21 +3,22 @@
 A `MemoTable` is a dict from keys to result values, with hit, miss and
 body-evaluation counters.  A key is an identifier (the operand of a
 one-operand operation: an int hashes and compares faster than a
-one-element tuple) or a tuple of identifiers and small scalars.  An
-entry, once written, is never rebound to a different value; attempting
-to do so signals an impure memoized function.  Tables persist across
-top-level calls (conservative lifetime).  `ForgetfulTable` stores
-nothing, so the same engine code runs with memoization off and every
-probe misses; results must not change.
+one-element tuple), two identifiers packed into one int (the BDD
+`and`/`or` machine: less than half the memory of a pair), or a tuple of
+identifiers and small scalars.  An entry, once written, is never rebound to a different
+value; attempting to do so signals an impure memoized function.
+Tables persist across top-level calls (conservative lifetime).
+`ForgetfulTable` stores nothing, so the same engine code runs with
+memoization off and every probe misses; results must not change.
 
 Every caller probes a table through its own `get`/`setdefault`:
 `memo_fix` (the BDD engine's `xor`/`not`), the BDD engine's
 explicit-stack `and`/`or`, and the lambda engine's two explicit-stack
 machines (`lifti`/`subst` and `hnf`/`nf`).  An operation whose operands
-commute keys `(min, max)` itself before the probe.  Each counts a body
-evaluation once its value has reached the table (after `setdefault`
-and its rebound check), so a raise leaves `len(table) ==
-body_evaluations` in a memoizing table.
+commute keys `(min, max)` itself, packed or not, before the probe.
+Each counts a body evaluation once its value has reached the table
+(after `setdefault` and its rebound check), so a raise leaves
+`len(table) == body_evaluations` in a memoizing table.
 
 `memo_fix` adds no recursion guard of its own: a body that is not
 well-founded ends in Python's `RecursionError`.  The lambda normalizer

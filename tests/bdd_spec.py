@@ -4,7 +4,8 @@ kept as the specification its steps are tested against.
 `Spec(mgr)` runs the recursive `memo_fix` bodies over `mgr`'s pool and
 memo tables: `meld` expands a pair on the smaller head variable, low
 cofactors first, and each `*_step` applies its operation's leaf rules
-before the table is probed under `(min, max)` (`not` under the id).
+before the table is probed under `(min, max)`, packed as
+`min << 32 | max` for `and` and `or` (`not` under the id).
 Two managers built alike, one run through `mgr.unchecked` and one
 through the spec, must end with equal results, pools and tables,
 counters included.  The bodies recurse about three frames per variable
@@ -24,11 +25,12 @@ class Spec:
                 return low
             return intern((v, low, high))
 
-        def meld(step):
+        def meld(step, packed):
             """Body of a binary operation: simultaneous descent on the
-            smaller head variable, each cofactor pair through `step`."""
+            smaller head variable, each cofactor pair through `step`.
+            A `packed` key is `min << 32 | max`, else `(min, max)`."""
             def body(_, key):
-                x, y = key
+                x, y = divmod(key, 1 << 32) if packed else key
                 vx, xl, xh = nodes[x]
                 vy, yl, yh = nodes[y]
                 if vx == vy:
@@ -45,7 +47,7 @@ class Spec:
                 return y
             if y == TRUE:
                 return x
-            return and_fix((x, y) if x < y else (y, x))
+            return and_fix((x << 32 | y) if x < y else (y << 32 | x))
 
         def or_step(x, y):
             if x == TRUE or y == TRUE:
@@ -54,7 +56,7 @@ class Spec:
                 return y
             if y == FALSE:
                 return x
-            return or_fix((x, y) if x < y else (y, x))
+            return or_fix((x << 32 | y) if x < y else (y << 32 | x))
 
         def xor_step(x, y):
             if x == FALSE:
@@ -67,9 +69,9 @@ class Spec:
                 return not_fix(x)
             return xor_fix((x, y) if x < y else (y, x))
 
-        and_fix = memo_fix(meld(and_step), mgr.m_and)
-        or_fix = memo_fix(meld(or_step), mgr.m_or)
-        xor_fix = memo_fix(meld(xor_step), mgr.m_xor)
+        and_fix = memo_fix(meld(and_step, True), mgr.m_and)
+        or_fix = memo_fix(meld(or_step, True), mgr.m_or)
+        xor_fix = memo_fix(meld(xor_step, False), mgr.m_xor)
 
         def not_body(recurse, x):
             if x == FALSE:

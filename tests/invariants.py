@@ -8,7 +8,8 @@ through an operation, ends in it.
 - BDD nodes `(var, low, high)`: the leaves are ids 0 and 1; every other
   node is reduced (`low != high`), both children are below its id, and
   its variable is below both children's head variables (ordered).
-  `and`, `or` and `xor` key node pairs `(min, max)`, `not` the id.
+  `and` and `or` key node pairs `(min, max)` packed as
+  `min << 32 | max`, `xor` as the tuple, `not` the id.
 - Lambda nodes `(tag, x, y)`: the tag is valid, children precede their
   parents, and `_bound[i]` is exactly what the children give.  `lifti`
   and `subst` key `(p, c, t)` only for a `t` with a free index at or
@@ -22,6 +23,8 @@ from maxshare.bdd import FALSE, LEAF_VAR, TRUE, BddManager
 from maxshare.lam import ABS_TAG, APP_TAG, VAR_TAG
 from maxshare.memo import ForgetfulTable
 
+MASK = (1 << 32) - 1  # the low half of a packed `and`/`or` key
+
 
 def check_invariants(mgr):
     fwd, nodes = mgr.pool.fwd, mgr.pool.back
@@ -34,10 +37,11 @@ def check_invariants(mgr):
             v, low, high = nodes[uid]
             assert 0 <= low < uid and 0 <= high < uid and low != high, uid
             assert 0 <= v < nodes[low][0] and v < nodes[high][0], uid
-        tuples = (mgr.m_and, mgr.m_or, mgr.m_xor)
-        for t in tuples:
-            assert all(TRUE < x <= y < n for x, y in t)
-        ids = (mgr.m_not,)
+        for t in (mgr.m_and, mgr.m_or):
+            assert all(type(k) is int and TRUE < k >> 32 <= k & MASK < n
+                       for k in t)
+        assert all(TRUE < x <= y < n for x, y in mgr.m_xor)
+        tables, ids = (mgr.m_and, mgr.m_or, mgr.m_xor), (mgr.m_not,)
     else:
         bound = mgr._bound
         assert len(bound) == n
@@ -50,13 +54,13 @@ def check_invariants(mgr):
             else:
                 assert tag == ABS_TAG and 0 <= x < uid and y == 0, uid
                 assert bound[uid] == max(bound[x] - 1, 0), uid
-        tuples = (mgr.m_lifti, mgr.m_subst)
-        for t in tuples:
+        tables = (mgr.m_lifti, mgr.m_subst)
+        for t in tables:
             assert all(0 <= u < n and 0 <= c < bound[u] for _, c, u in t)
         ids = (mgr.m_hnf, mgr.m_nf)
     for t in ids:
         assert all(type(k) is int and 0 <= k < n for k in t)
-    for t in tuples + ids:
+    for t in tables + ids:
         if isinstance(t, ForgetfulTable):
             assert len(t) == 0
         else:

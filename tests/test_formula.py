@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import gc
 import itertools
+import pickle
 import random
 
 import pytest
@@ -248,10 +251,8 @@ def test_eq_hash_repr_have_no_nesting_limit(build):
 
 # Each AST class as a plain frozen dataclass of the same name and fields,
 # with the generated ==, hash and repr.
-_PLAIN = {cls: dataclasses.make_dataclass(
-              cls.__name__, [(field.name, field.type)
-                             for field in dataclasses.fields(cls)],
-              frozen=True)
+_PLAIN = {cls: dataclasses.make_dataclass(cls.__name__, cls.__match_args__,
+                                          frozen=True)
           for cls in (Const, Var, Not, And, Or, Xor, Implies, Iff)}
 
 
@@ -259,7 +260,7 @@ def _plain(f):
     """`f` rebuilt from the plain dataclasses (recursive; small `f`)."""
     return _PLAIN[type(f)](*(
         _plain(v) if type(v) in _PLAIN else v
-        for v in (getattr(f, field.name) for field in dataclasses.fields(f))))
+        for v in (getattr(f, name) for name in f.__match_args__)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -280,6 +281,39 @@ def test_eq_compares_classes_and_field_values():
     assert And(Var(1), Var(2)) != Or(Var(1), Var(2))
     assert Not(Var(1)) != Var(1)
     assert Var(1) != 1 and Var(1).__eq__(1) is NotImplemented
+
+
+# One formula that uses every AST class.
+_EVERY_CLASS = Iff(Implies(And(Var(1), Const(True)),
+                           Or(Not(Var(2)), Xor(Var(3), Const(False)))),
+                   Var(1))
+
+
+def test_nodes_are_slotted_and_immutable():
+    fields = {Const: ("value",), Var: ("index",), Not: ("operand",)}
+    for cls in (Const, Var, Not, And, Or, Xor, Implies, Iff):
+        assert cls.__match_args__ == fields.get(cls, ("left", "right"))
+    stack = [_EVERY_CLASS]
+    while stack:
+        g = stack.pop()
+        assert not hasattr(g, "__dict__")
+        for name in g.__match_args__ + ("other",):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, Var(9))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(g, name)
+        stack += [getattr(g, name) for name in g.__match_args__
+                  if isinstance(getattr(g, name), formula._Ast)]
+    assert repr(_EVERY_CLASS) == repr(_plain(_EVERY_CLASS))
+
+
+@pytest.mark.parametrize("round_trip", [
+    copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
+def test_nodes_survive_copy_and_pickle(round_trip):
+    f = round_trip(_EVERY_CLASS)
+    assert type(f) is Iff and f == _EVERY_CLASS
+    assert hash(f) == hash(_EVERY_CLASS)
+    assert repr(f) == repr(_EVERY_CLASS)
 
 
 def test_print_parse_round_trip_pigeonhole():
@@ -399,6 +433,20 @@ def test_compile_rejects_what_the_spec_rejects(f, error):
     for compile_fn in (compile, formula_spec.compile):
         with pytest.raises(error):
             compile_fn(BddManager(), f)
+
+
+def test_compile_leaves_no_cyclic_garbage():
+    # `compile`'s recursive `build` refers to itself; the cycle must be
+    # broken on return, not left to the cyclic GC
+    mgr, f = BddManager(), Xor(urquhart(3), _EVERY_CLASS)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            compile(mgr, f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_equivalent_formulas_compile_to_same_id():
