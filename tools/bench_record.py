@@ -52,16 +52,22 @@ def git(checkout: str, *args: str) -> str:
 
 def revision(checkout: str) -> dict:
     """HEAD, whether the measured files differ from it, and a digest of
-    the library source, which names the code that ran."""
+    the library source, which names the code that ran.  A copy that is
+    not a git checkout (a `git archive` of the parent) has no HEAD: its
+    `git` and `dirty` are None, and the digest alone names its code."""
     digest = hashlib.sha256()
     package = os.path.join(checkout, "src", "maxshare")
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), "rb") as fh:
                 digest.update(name.encode() + b"\0" + fh.read() + b"\0")
-    dirty = git(checkout, "status", "--porcelain", "--", "src", "perfbench")
-    return {"git": git(checkout, "rev-parse", "HEAD"), "dirty": bool(dirty),
-            "src_sha256": digest.hexdigest()}
+    try:
+        head = git(checkout, "rev-parse", "HEAD")
+        dirty = bool(git(checkout, "status", "--porcelain", "--", "src",
+                         "perfbench"))
+    except subprocess.CalledProcessError:
+        head = dirty = None
+    return {"git": head, "dirty": dirty, "src_sha256": digest.hexdigest()}
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float,
@@ -163,6 +169,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    revisions = {side: revision(path) for side, path in sides.items()}
     load_before = os.getloadavg()
     runs: dict[str, dict[int, dict]] = {side: {} for side in sides}
     for i, seed in enumerate(args.seeds):
@@ -184,9 +191,9 @@ def main(argv=None) -> int:
                  "python": platform.python_version(),
                  "loadavg_before": load_before,
                  "loadavg_after": os.getloadavg()},
-        "sides": {side: {"checkout_revision": revision(path),
+        "sides": {side: {"checkout_revision": revisions[side],
                          **side_report(runs[side])}
-                  for side, path in sides.items()},
+                  for side in sides},
         "pairs": pairs_won(runs["parent"], runs["change"], better),
     }
     out = os.path.join(ROOT, f"BENCH_{args.workload}.json")
