@@ -109,6 +109,7 @@ def cmd_bench(args) -> int:
     for size in range(1, args.max + 1):
         args.where = f"{args.suite}({size}): "
         r = _check(f"bench {args.suite} --size {size}", generate(size))
+        gc.collect()  # the dead manager's `memo_fix` closures hold cycles
         r["size"] = size
         if args.json:
             print(json.dumps(r, sort_keys=True), flush=True)

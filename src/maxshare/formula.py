@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import FrozenInstanceError
-from typing import Mapping, Union
+from typing import Mapping
 
 from .bdd import FALSE, LEAF_VAR, TRUE, BddManager, UnboundVariableError
 
@@ -185,7 +185,9 @@ _set_value, _set_index, _set_operand, _set_left, _set_right = (
     _Binary.left.__set__, _Binary.right.__set__)
 
 
-Formula = Union[Const, Var, Not, And, Or, Xor, Implies, Iff]
+# A `types.UnionType`, which no process-wide cache holds: `typing.Union`
+# would keep every re-imported copy of these classes alive.
+Formula = Const | Var | Not | And | Or | Xor | Implies | Iff
 
 
 # -- syntax ----------------------------------------------------------------

@@ -130,9 +130,9 @@ class LambdaManager:
     `PlainNormalizer`, over its life) and trips DepthExceededError on
     non-normalizing input.
 
-    The pool is grown only through `mk_var` and the unchecked
-    `_app`/`_abs` (which `mk_app`/`mk_abs` call once they have checked
-    their children); they keep `_bound` (the free-variable bound,
+    The pool is grown only through the unchecked `_var`/`_app`/`_abs`
+    (which `mk_var`/`mk_app`/`mk_abs` call once they have checked their
+    index or children); they keep `_bound` (the free-variable bound,
     indexed by id) in step with it.
     """
 
@@ -144,23 +144,19 @@ class LambdaManager:
         self.m_subst = table()
         self.m_hnf = table()
         self.m_nf = table()
-        self._steps = 0
+        self._steps = [0]  # a cell that `beta` holds, not the manager
         self._build_fixers()
 
     # -- constructors ----------------------------------------------------
     #
-    # The pool issues ids 0, 1, 2, ... in order, so `uid == len(_bound)`
-    # holds exactly when intern allocated a fresh node.  Public
-    # `mk_app`/`mk_abs` check their children; the operations build
-    # nodes from ids the pool issued through the unchecked `_app`/`_abs`.
+    # Public `mk_var` checks its index and `mk_app`/`mk_abs` their
+    # children; the operations build nodes from ids the pool issued
+    # through the unchecked `_var`/`_app`/`_abs`.
 
     def mk_var(self, i: int) -> int:
         if i < 0:
             raise LambdaError(f"negative de Bruijn index {i}")
-        uid = self.pool.intern((VAR_TAG, i, 0))
-        if uid == len(self._bound):
-            self._bound.append(i + 1)
-        return uid
+        return self._var(i)
 
     def mk_app(self, f: int, a: int) -> int:
         self.pool.resolve(f)
@@ -180,18 +176,32 @@ class LambdaManager:
     #
     # Ids are checked once, at the public `lifti`/`lift`/`subst`/`hnf`/
     # `nf`/`bound`.  Below them, two explicit-stack machines read nodes
-    # straight from `pool.back`, and `app`/`abs_` probe `pool.fwd`
-    # themselves.  A machine visits, memoizes and interns in the order of
-    # the recursion it replaces (left child first), so every counter is
-    # that recursion's, and adds its hits, misses and stored entries to
-    # its table when it returns or raises.  Each runs the others at most
-    # one level deep: nf runs hnf, hnf subst, and subst lifti.
+    # straight from `pool.back`, and `mk_var`/`app`/`abs_` probe
+    # `pool.fwd` themselves.  A machine visits, memoizes and interns in
+    # the order of the recursion it replaces (left child first), so every
+    # counter is that recursion's, and adds its hits, misses and stored
+    # entries to its table when it returns or raises.  Each runs the
+    # others at most one level deep: nf runs hnf, hnf subst, and subst
+    # lifti, each given the machine it runs.  No closure here refers to
+    # the manager or to itself, so reference counting frees a dropped
+    # manager.
 
     def _build_fixers(self) -> None:
         bound = self._bound
         pool = self.pool
         nodes, fwd = pool.back, pool.fwd
-        mk_var = self.mk_var
+        steps = self._steps
+
+        def mk_var(i: int) -> int:
+            p = (VAR_TAG, i, 0)
+            uid = fwd.get(p)
+            if uid is None:
+                uid = fwd[p] = len(nodes)
+                nodes.append(p)
+                bound.append(i + 1)
+            else:
+                pool.hits += 1
+            return uid
 
         def app(f: int, a: int) -> int:
             p = (APP_TAG, f, a)
@@ -217,11 +227,11 @@ class LambdaManager:
                 pool.hits += 1
             return uid
 
-        self._app = app
-        self._abs = abs_
+        self._var, self._app, self._abs = mk_var, app, abs_
 
-        def shift(table: MemoTable, is_subst: bool):
-            """`lifti` (by `p`) or `subst` (of the term `p`) over keys
+        def shift(table: MemoTable, lifti):
+            """`lifti` (by `p`, `lifti` None) or `subst` (of the term
+            `p`, lifting it with the `lifti` machine) over keys
             `(p, c, t)`, `c` the cut, for `t` with bound(t) > c.  Work
             items are a right child `(c, t)` and builds under `key`:
             `(-1, key)` an abstraction, `(-2, key)` an application from
@@ -258,7 +268,7 @@ class LambdaManager:
                                 r = x
                             else:
                                 work.append((-3, key))
-                                if not is_subst:
+                                if lifti is None:
                                     r = mk_var(x + p)
                                 elif x != c:
                                     r = mk_var(x - 1)
@@ -291,19 +301,19 @@ class LambdaManager:
 
             return run
 
-        lifti = self._lifti = shift(self.m_lifti, False)
-        subst = self._subst = shift(self.m_subst, True)
+        lifti = self._lifti = shift(self.m_lifti, None)
+        subst = self._subst = shift(self.m_subst, lifti)
 
         def beta(u: int, w: int) -> int:
-            self._steps += 1
-            if self._steps > STEP_GUARD:
+            steps[0] += 1
+            if steps[0] > STEP_GUARD:
                 raise DepthExceededError(
                     f"exceeded {STEP_GUARD} reduction steps"
                 )
             return w if bound[w] == 0 else subst(u, 0, w)
 
-        def normalizer(table: MemoTable, full: bool):
-            """`hnf` (`full` False) or `nf` over term ids.  Work items
+        def normalizer(table: MemoTable, hnf):
+            """`hnf` (`hnf` None) or `nf` over term ids.  Work items
             are `(kind, t)`: build the abstraction `t` (ABS); the result
             is the head of the application `t` (HEAD); store it under
             `t`, a variable or a redex it is the value of (TAIL); and,
@@ -312,6 +322,7 @@ class LambdaManager:
             redex's reduct is a loop step, not a call; `nf` takes an
             application's head from the `hnf` machine."""
             get, setdefault = table.get, table.setdefault
+            full = hnf is not None
 
             def run(t: int) -> int:
                 work: list[tuple] = []
@@ -371,8 +382,8 @@ class LambdaManager:
 
             return run
 
-        hnf = self._hnf = normalizer(self.m_hnf, False)
-        self._nf = normalizer(self.m_nf, True)
+        hnf = self._hnf = normalizer(self.m_hnf, None)
+        self._nf = normalizer(self.m_nf, hnf)
 
     def lifti(self, n: int, t: int, k: int) -> int:
         """Shift free variables >= k up by n; t itself when n == 0 or
@@ -392,7 +403,7 @@ class LambdaManager:
 
     def _guarded(self, fix, t: int) -> int:
         self.pool.resolve(t)
-        self._steps = 0
+        self._steps[0] = 0
         return fix(t)
 
     def hnf(self, t: int) -> int:
@@ -406,7 +417,7 @@ class LambdaManager:
     @property
     def reduction_steps(self) -> int:
         """Beta steps taken by the current/last top-level hnf/nf call."""
-        return self._steps
+        return self._steps[0]
 
     def stats(self) -> dict[str, dict]:
         """Pool counters and each memo table's hits, misses and body

@@ -1,4 +1,5 @@
 import errno
+import gc
 import inspect
 import json
 import os
@@ -14,8 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from maxshare import cli
 from maxshare import formula as fm
 from maxshare import lam
+from maxshare.bdd import BddManager
+from maxshare.intern import Pool
 from maxshare.cli import main
-from maxshare.memo import MemoContractError
+from maxshare.memo import MemoContractError, MemoTable
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +195,21 @@ def test_bench_pigeonhole_single(capsys):
     code, out, _ = run_cli(capsys, "bench", "pigeonhole", "--max", "1")
     assert code == 0
     assert len(out.strip().splitlines()) == 1
+
+
+def test_bench_frees_each_size_manager(capsys):
+    # each size's dead manager is collected before the next size is
+    # built, not left to the cyclic GC: here it is off.  The `xor`/`not`
+    # closures' cycles hold the pool and tables, not the manager itself.
+    gc.collect()
+    gc.disable()
+    try:
+        code, out, _ = run_cli(capsys, "bench", "pigeonhole", "--max", "4")
+        assert code == 0 and len(out.splitlines()) == 4
+        assert not [o for o in gc.get_objects()
+                    if isinstance(o, (BddManager, Pool, MemoTable))]
+    finally:
+        gc.enable()
 
 
 def test_bench_text_reports_pool_size(capsys):

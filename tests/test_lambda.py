@@ -1,6 +1,8 @@
+import gc
 import random
 import sys
 import threading
+import weakref
 
 import hypothesis.strategies as st
 import pytest
@@ -501,6 +503,25 @@ def test_quicksort_sixty_on_the_calling_thread(monkeypatch):
     finally:
         sys.setrecursionlimit(old_limit)
     assert out == list(range(60))
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "no-memo"])
+def test_dropped_manager_is_freed_by_reference_counting(memo):
+    # No machine closure refers to the manager or to itself, so with the
+    # cyclic GC off `del` frees the manager and its pool, and leaves the
+    # collector nothing to find.
+    gc.collect()
+    gc.disable()
+    try:
+        mgr = LambdaManager(memo_enabled=memo)
+        term = mgr.mk_app(quicksort_term(mgr), church_list(mgr, [3, 1, 2, 0]))
+        assert decode_list(mgr, mgr.nf(term)) == [0, 1, 2, 3]
+        refs = weakref.ref(mgr), weakref.ref(mgr.pool)
+        del mgr
+        assert [r() for r in refs] == [None, None]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- run_deep --------------------------------------------------------------
