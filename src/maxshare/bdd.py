@@ -21,9 +21,9 @@ unpacks faster than an int, and `not` on the id.
 `and` and `or` are one explicit-stack machine that visits, memoizes and
 interns in the recursion's order, so every counter is the recursion's.
 `xor` and `not` still recurse through `memo_fix`, about three frames
-per variable level: a diagram some 330 levels deep (`U(n)` from n = 332
-up) fails at the default limit, and lifting that waits for the
-benchmark's `urquhart` re-baseline.
+per variable level: a diagram some 330 levels deep (`U(n)` from about
+n = 330, depending on the caller's stack) fails at the default limit,
+and lifting that waits for the benchmark's `urquhart` re-baseline.
 
 Ids and ops are checked once, at the public entry points (`apply2`,
 `mk_not`, `mk_ite`, `mk_node`, `node`, `head_var`, `eval`, `sat_one`,
