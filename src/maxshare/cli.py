@@ -106,19 +106,23 @@ def cmd_bench(args) -> int:
     if not 1 <= args.max <= limit:  # checked before any size is built
         raise fm.RangeError(f"--max must be in 1..{limit}")
     all_taut = True
-    for size in range(1, args.max + 1):
-        args.where = f"{args.suite}({size}): "
-        r = _check(f"bench {args.suite} --size {size}", generate(size))
-        gc.collect()  # the dead manager's `memo_fix` closures hold cycles
-        r["size"] = size
-        if args.json:
-            print(json.dumps(r, sort_keys=True), flush=True)
-        else:
-            status = "tautology" if r["result"] else "NOT A TAUTOLOGY"
-            print(f"{args.where}{status}, {r['node_count']} result nodes, "
-                  f"{r['pool_stats']['node_count']} pool nodes, "
-                  f"{r['wall_time_ms']:.1f} ms", flush=True)
-        all_taut = all_taut and r["result"]
+    gc.freeze()  # each size's collect skips what was alive before
+    try:
+        for size in range(1, args.max + 1):
+            args.where = f"{args.suite}({size}): "
+            r = _check(f"bench {args.suite} --size {size}", generate(size))
+            gc.collect()  # the dead manager's `memo_fix` closures hold cycles
+            r["size"] = size
+            if args.json:
+                print(json.dumps(r, sort_keys=True), flush=True)
+            else:
+                status = "tautology" if r["result"] else "NOT A TAUTOLOGY"
+                print(f"{args.where}{status}, {r['node_count']} result nodes, "
+                      f"{r['pool_stats']['node_count']} pool nodes, "
+                      f"{r['wall_time_ms']:.1f} ms", flush=True)
+            all_taut = all_taut and r["result"]
+    finally:
+        gc.unfreeze()
     if not all_taut:
         print("error: benchmark formula was not a tautology "
               "(engine bug)", file=sys.stderr)

@@ -185,8 +185,7 @@ _set_value, _set_index, _set_operand, _set_left, _set_right = (
     _Binary.left.__set__, _Binary.right.__set__)
 
 
-# A `types.UnionType`, which no process-wide cache holds: `typing.Union`
-# would keep every re-imported copy of these classes alive.
+# not `typing.Union`, whose process-wide cache pins every re-import
 Formula = Const | Var | Not | And | Or | Xor | Implies | Iff
 
 

@@ -180,11 +180,9 @@ class LambdaManager:
     # `pool.fwd` themselves.  A machine visits, memoizes and interns in
     # the order of the recursion it replaces (left child first), so every
     # counter is that recursion's, and adds its hits, misses and stored
-    # entries to its table when it returns or raises.  Each runs the
-    # others at most one level deep: nf runs hnf, hnf subst, and subst
-    # lifti, each given the machine it runs.  No closure here refers to
-    # the manager or to itself, so reference counting frees a dropped
-    # manager.
+    # entries to its table when it returns or raises.  Each is given the
+    # one it runs (nf hnf, hnf subst, subst lifti), so no closure refers
+    # to the manager or to itself, and reference counting frees it.
 
     def _build_fixers(self) -> None:
         bound = self._bound

@@ -16,8 +16,8 @@ from maxshare import cli
 from maxshare import formula as fm
 from maxshare import lam
 from maxshare.bdd import BddManager
-from maxshare.intern import Pool
 from maxshare.cli import main
+from maxshare.intern import Pool
 from maxshare.memo import MemoContractError, MemoTable
 
 
