@@ -208,6 +208,7 @@ def test_bench_frees_each_size_manager(capsys):
         assert code == 0 and len(out.splitlines()) == 4
         assert not [o for o in gc.get_objects()
                     if isinstance(o, (BddManager, Pool, MemoTable))]
+        assert gc.get_freeze_count() == 0  # the run's freeze is undone
     finally:
         gc.enable()
 
